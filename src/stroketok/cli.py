@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import multiprocessing
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -268,13 +269,17 @@ def cmd_generate(ns) -> int:
         )
     if ns.tokens_out:
         save_tokens(seq, ns.tokens_out, vq_cfg)
-    print(f"generated {len(seq.tokens)} tokens from {keywords!r} -> {out}")
+    stop = "stopped at length cap" if seq.meta["truncated"] else "stopped at EOS"
+    print(
+        f"generated {len(seq.tokens)} tokens (raw {seq.meta['raw_len']}, {stop}) "
+        f"from {keywords!r} -> {out}"
+    )
     return 0
 
 
-def _evaluate_one(args):
-    golden_text, cand_path, ckpt, res, stroke_px = args
-    store, codebook, cfg = load_vq_checkpoint(ckpt)
+def _evaluate_one(args, vq):
+    golden_text, cand_path, res, stroke_px = args
+    store, codebook, cfg = vq
     golden = simplify(load_graphic(golden_text))
     candidate = simplify(_load_graphic_file(Path(cand_path)))
     timer = StageTimer()
@@ -298,6 +303,25 @@ def _evaluate_one(args):
     return record
 
 
+# the VQ model of one evaluate worker process, loaded once by its initializer
+_worker_vq = None
+
+
+def _init_evaluate_worker(ckpt: str) -> None:
+    global _worker_vq
+    try:
+        _worker_vq = load_vq_checkpoint(ckpt)
+    except (StroketokError, FileNotFoundError, ValueError) as e:
+        # raised again by every task, so the parent reports it as --jobs 1 does
+        _worker_vq = e
+
+
+def _evaluate_in_worker(args):
+    if isinstance(_worker_vq, Exception):
+        raise _worker_vq
+    return _evaluate_one(args, _worker_vq)
+
+
 def cmd_evaluate(ns) -> int:
     golden_dir, cand_dir = Path(ns.golden), Path(ns.candidate)
     golden_files = sorted(golden_dir.glob("*.json"))
@@ -309,7 +333,7 @@ def cmd_evaluate(ns) -> int:
         for ext in (".json", ".svg"):
             cand = cand_dir / (p.stem + ext)
             if cand.exists():
-                tasks.append((p.read_text(), str(cand), ns.ckpt, ns.res, ns.stroke_px))
+                tasks.append((p.read_text(), str(cand), ns.res, ns.stroke_px))
                 names.append(p.stem)
                 break
         else:
@@ -317,10 +341,16 @@ def cmd_evaluate(ns) -> int:
     if not tasks:
         raise StroketokError("no golden/candidate pairs found")
     if ns.jobs > 1:
-        with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
-            records = list(pool.map(_evaluate_one, tasks))
+        with ProcessPoolExecutor(
+            max_workers=ns.jobs,
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_init_evaluate_worker,
+            initargs=(ns.ckpt,),
+        ) as pool:
+            records = list(pool.map(_evaluate_in_worker, tasks))
     else:
-        records = [_evaluate_one(t) for t in tasks]
+        vq = load_vq_checkpoint(ns.ckpt)
+        records = [_evaluate_one(t, vq) for t in tasks]
 
     rows = []
     for name, rec in zip(names, records):

@@ -8,6 +8,11 @@ embedding table that never trains; only the stroke embedding, the decoder
 blocks, and the output head do. The head starts at zero, so an untrained
 model scores every token uniformly (cross-entropy = ln V exactly).
 
+Generation decodes incrementally: one prefill pass runs the prompt and BOS
+and keeps every layer's attention K/V rows in a cache owned by the call;
+each further step runs only the newest token against that cache. Training
+and the loss always run the full sequence with no cache.
+
 Vocabulary layout: stroke ids [0, d*|B|), then PAD, BOS, EOS. Keyword words
 live in their own map (UNK = 0).
 """
@@ -188,13 +193,31 @@ def init_lm_params(vocab: Vocab, cfg: LmConfig) -> ParameterStore:
     return store
 
 
-def _attention(x: Tensor, store: ParameterStore, prefix: str, cfg: LmConfig) -> Tensor:
+def _attention(
+    x: Tensor,
+    store: ParameterStore,
+    prefix: str,
+    cfg: LmConfig,
+    kv: dict | None = None,
+    start: int = 0,
+) -> Tensor:
+    """Causal multi-head self-attention of x's rows over every earlier row.
+
+    With `kv` (one layer's slot of a generation cache), x holds the rows
+    from position `start` on: their K/V rows are appended to the cached
+    ones and the queries attend over all of them.
+    """
     s = x.data.shape[0]
     dh = cfg.embed_dim // cfg.heads
     q = add(matmul(x, store[f"{prefix}.wq"]), store[f"{prefix}.wqb"])
     k = add(matmul(x, store[f"{prefix}.wk"]), store[f"{prefix}.wkb"])
     v = add(matmul(x, store[f"{prefix}.wv"]), store[f"{prefix}.wvb"])
-    mask = Tensor(np.triu(np.full((s, s), _NEG_INF), k=1))
+    if kv is not None:
+        if kv:
+            k = concat([kv["k"], k], axis=0)
+            v = concat([kv["v"], v], axis=0)
+        kv["k"], kv["v"] = k, v
+    mask = Tensor(np.triu(np.full((s, start + s), _NEG_INF), k=start + 1))
     heads = []
     inv_sqrt = Tensor(np.array(1.0 / np.sqrt(dh)))
     for h in range(cfg.heads):
@@ -213,28 +236,41 @@ def forward_logits(
     store: ParameterStore,
     vocab: Vocab,
     cfg: LmConfig,
+    *,
+    cache: dict | None = None,
 ) -> Tensor:
     """Logits (len(token_ids), V) for the positions holding token_ids.
 
     token_ids start with BOS; causal attention runs over the whole
     prompt+token sequence, loss and sampling read token positions only.
+
+    `cache`, when given, is a dict owned by one decoding run. It holds
+    each layer's K and V rows for the positions seen so far: the new
+    positions (prompt_ids, then token_ids) start after them, attend over
+    them, and append their own K/V rows. The first call with an empty dict
+    is the prefill; each later call passes `([], [token])` and runs one
+    position. Without a cache every position is recomputed.
     """
-    total_len = len(prompt_ids) + len(token_ids)
+    start = cache["positions"] if cache else 0
+    total_len = start + len(prompt_ids) + len(token_ids)
     if total_len > cfg.max_len:
         raise SequenceTooLong(f"{total_len} positions > max_len {cfg.max_len}")
     e_prompt = embedding(store["prompt_embed"], np.asarray(prompt_ids, dtype=np.int64))
     e_tok = embedding(store["token_embed"], np.asarray(token_ids, dtype=np.int64))
     x = concat([e_prompt, e_tok], axis=0)
-    x = add(x, narrow(store["pos_embed"], 0, 0, total_len))
+    x = add(x, narrow(store["pos_embed"], 0, start, total_len - start))
     for layer in range(cfg.layers):
         p = f"layer{layer}"
+        kv = None if cache is None else cache.setdefault(p, {})
         h = layer_norm(x, store[f"{p}.ln1.g"], store[f"{p}.ln1.b"])
-        x = add(x, _attention(h, store, f"{p}.attn", cfg))
+        x = add(x, _attention(h, store, f"{p}.attn", cfg, kv, start))
         h = layer_norm(x, store[f"{p}.ln2.g"], store[f"{p}.ln2.b"])
         h = add(matmul(h, store[f"{p}.mlp.w1"]), store[f"{p}.mlp.b1"])
         h = relu(h)
         h = add(matmul(h, store[f"{p}.mlp.w2"]), store[f"{p}.mlp.b2"])
         x = add(x, h)
+    if cache is not None:
+        cache["positions"] = total_len
     x = layer_norm(x, store["ln_f.g"], store["ln_f.b"])
     logits = add(matmul(x, store["head.w"]), store["head.b"])
     return narrow(logits, 0, len(prompt_ids), len(token_ids))
@@ -345,19 +381,25 @@ def generate(
     temperature == 0 means argmax (deterministic, ties to the lowest id);
     otherwise softmax sampling at the given temperature over the top_k ids
     (0 = all). PAD/BOS can never be emitted.
+
+    One `forward_logits` call runs the prompt and BOS (the prefill) into a
+    per-layer K/V cache; each later call runs only the token just emitted,
+    so a sequence of n tokens costs prompt + n positions, not a quadratic
+    number.
     """
     prompt_ids = build_prompt(keywords, vocab)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     out: list[int] = []
     truncated = False
+    cache: dict = {}
+    context, new_ids = prompt_ids, [vocab.bos_id]
     with no_grad():
         while True:
-            token_ids = [vocab.bos_id] + out
-            if len(prompt_ids) + len(token_ids) + 1 > cfg.max_len:
+            if len(prompt_ids) + 1 + len(out) + 1 > cfg.max_len:
                 truncated = True
                 break
-            logits = forward_logits(prompt_ids, token_ids, store, vocab, cfg)
+            logits = forward_logits(context, new_ids, store, vocab, cfg, cache=cache)
             row = logits.data[-1].copy()
             row[vocab.pad_id] = _NEG_INF
             row[vocab.bos_id] = _NEG_INF
@@ -365,6 +407,7 @@ def generate(
             if nxt == vocab.eos_id:
                 break
             out.append(nxt)
+            context, new_ids = [], [nxt]
     # drop any trailing partial frame so detokenize sees whole timesteps
     depth = vocab.rvq_depth
     usable = len(out) - (len(out) % depth)

@@ -1,0 +1,101 @@
+import re
+
+import pytest
+
+from stroketok import cli
+from stroketok.stroke_lm import generate, load_lm_checkpoint
+
+TINY_CONFIG = """\
+steps = 3
+codebook_size = 16
+channels = 16
+code_dim = 16
+lm_embed_dim = 16
+lm_layers = 1
+lm_heads = 2
+lm_max_len = 40
+lm_steps = 3
+"""
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """A tiny corpus run through train-vq, tokenize, detokenize and train-lm."""
+    d = tmp_path_factory.mktemp("pipeline")
+    cfg = d / "tiny.cfg"
+    cfg.write_text(TINY_CONFIG)
+    corpus, tok, rec = d / "corpus", d / "tok", d / "rec"
+
+    def run(*argv):
+        assert cli.main([str(a) for a in argv]) == 0
+
+    run("gen-synth", "--n", 6, "--seed", 0, "--out", corpus)
+    run("train-vq", "--corpus", corpus, "--config", cfg, "--out", d / "vq.ckpt")
+    run("tokenize", "--ckpt", d / "vq.ckpt", "--in", corpus, "--out", tok)
+    rec.mkdir()
+    for p in sorted(corpus.glob("*.json")):
+        run("detokenize", "--ckpt", d / "vq.ckpt", "--in", tok / f"{p.stem}.tok",
+            "--out", rec / p.name, "--meta", p)
+    run("train-lm", "--tokens", tok, "--corpus", corpus, "--config", cfg,
+        "--out", d / "lm.ckpt")
+    return d
+
+
+def test_generate_reports_raw_length_and_cap(pipeline, capsys):
+    d = pipeline
+    store, vocab, cfg = load_lm_checkpoint(str(d / "lm.ckpt"))
+    cfg.temperature = 1.0
+    stops = set()
+    for seed in range(6):
+        capsys.readouterr()
+        assert cli.main([
+            "generate", "--lm", str(d / "lm.ckpt"), "--vq", str(d / "vq.ckpt"),
+            "--keywords", "circle", "--temperature", "1", "--seed", str(seed),
+            "--out", str(d / "gen.json"),
+        ]) == 0
+        line = capsys.readouterr().out.strip()
+        m = re.fullmatch(
+            r"generated (\d+) tokens \(raw (\d+), stopped at (length cap|EOS)\) "
+            r"from .*",
+            line,
+        )
+        assert m, line
+        cfg.seed = seed
+        seq = generate(["circle"], store, vocab, cfg)
+        assert int(m.group(1)) == len(seq.tokens)
+        assert int(m.group(2)) == seq.meta["raw_len"]
+        assert (m.group(3) == "length cap") == seq.meta["truncated"]
+        stops.add(m.group(3))
+    # the seeds cover both ways a generation can stop
+    assert stops == {"EOS", "length cap"}
+
+
+def test_evaluate_loads_checkpoint_once_and_jobs_agree(pipeline, monkeypatch):
+    d = pipeline
+    loads = []
+    real = cli.load_vq_checkpoint
+
+    def counting(path):
+        loads.append(path)
+        return real(path)
+
+    monkeypatch.setattr(cli, "load_vq_checkpoint", counting)
+    common = ["evaluate", "--golden", str(d / "corpus"), "--candidate", str(d / "rec"),
+              "--ckpt", str(d / "vq.ckpt")]
+    assert cli.main(common + ["--report", str(d / "r1.json"), "--jobs", "1"]) == 0
+    assert loads == [str(d / "vq.ckpt")]
+    assert cli.main(common + ["--report", str(d / "r2.json"), "--jobs", "2"]) == 0
+    assert (d / "r1.json").read_bytes() == (d / "r2.json").read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_evaluate_bad_checkpoint_exits_1(pipeline, capsys, jobs):
+    d = pipeline
+    bad = d / f"bad{jobs}.ckpt"
+    bad.write_bytes((d / "vq.ckpt").read_bytes()[:300])
+    code = cli.main(["evaluate", "--golden", str(d / "corpus"), "--candidate",
+                     str(d / "rec"), "--ckpt", str(bad), "--report",
+                     str(d / "bad.json"), "--jobs", jobs])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (d / "bad.json").exists()

@@ -20,7 +20,7 @@ from stroketok.stroke_lm import (
     sequence_loss,
     train_lm,
 )
-from stroketok.tensor_engine import backward
+from stroketok.tensor_engine import backward, no_grad
 from stroketok.vq_codec import StrokeTokenSeq
 
 
@@ -204,6 +204,14 @@ def test_generate_respects_max_len():
     out = generate(pairs[0][0], store, vocab, cfg)
     prompt_len = len(build_prompt(pairs[0][0], vocab))
     assert prompt_len + 1 + out.meta["raw_len"] + 1 <= cfg.max_len + 1
+    if out.meta["truncated"]:
+        assert out.meta["raw_len"] == cfg.max_len - prompt_len - 1
+    assert len(out.tokens) % vocab.rvq_depth == 0
+    # with EOS suppressed the cap must stop generation at exactly its length
+    store["head.b"].data[vocab.eos_id] = -1e3
+    out = generate(pairs[0][0], store, vocab, cfg)
+    assert out.meta["truncated"]
+    assert out.meta["raw_len"] == cfg.max_len - prompt_len - 1
     assert len(out.tokens) % vocab.rvq_depth == 0
 
 
@@ -249,3 +257,115 @@ def test_lm_checkpoint_round_trip(tmp_path):
     assert a.tokens == b.tokens
     # frozen-ness restored
     assert store2.is_frozen("prompt_embed")
+
+
+# ---------------------------------------------------------------------------
+# Incremental decoding against the full recompute
+# ---------------------------------------------------------------------------
+
+
+def oracle_generate(keywords, store, vocab, cfg, rng=None):
+    """Decoding by full recompute: every step re-runs forward_logits over
+    the prompt, BOS and every token so far, with no cache. Returns the raw
+    emitted ids and whether the length cap stopped them."""
+    prompt_ids = build_prompt(keywords, vocab)
+    if rng is None:
+        rng = np.random.default_rng(cfg.seed)
+    out = []
+    with no_grad():
+        while True:
+            token_ids = [vocab.bos_id] + out
+            if len(prompt_ids) + len(token_ids) + 1 > cfg.max_len:
+                return out, True
+            logits = forward_logits(prompt_ids, token_ids, store, vocab, cfg)
+            row = logits.data[-1].copy()
+            row[vocab.pad_id] = -1e9
+            row[vocab.bos_id] = -1e9
+            nxt = sample_from_logits(row, cfg.temperature, cfg.top_k, rng)
+            if nxt == vocab.eos_id:
+                return out, False
+            out.append(nxt)
+
+
+def random_lm(cfg, seed=0):
+    """An untrained LM with a random (not zero) head, so logits differ."""
+    pairs = make_pairs()
+    vocab = build_vocab(pairs)
+    store = init_lm_params(vocab, cfg)
+    rng = np.random.default_rng(seed)
+    store["head.w"].data = rng.normal(0, 0.5, size=store["head.w"].data.shape)
+    store["head.b"].data = rng.normal(0, 0.1, size=store["head.b"].data.shape)
+    return pairs, vocab, store
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_cached_step_logits_match_full_forward(layers, heads):
+    cfg = tiny_cfg(layers=layers, heads=heads, max_len=40)
+    pairs, vocab, store = random_lm(cfg, seed=layers * 10 + heads)
+    prompt = build_prompt(pairs[0][0], vocab)
+    rng = np.random.default_rng(heads)
+    n_tok = cfg.max_len - len(prompt) - 1
+    tokens = [int(t) for t in rng.integers(0, vocab.stroke_vocab, size=n_tok)]
+    with no_grad():
+        full = forward_logits(prompt, [vocab.bos_id] + tokens, store, vocab, cfg).data
+        cache = {}
+        prefill = forward_logits(prompt, [vocab.bos_id], store, vocab, cfg, cache=cache)
+        rows = [prefill.data]
+        for t in tokens:
+            rows.append(forward_logits([], [t], store, vocab, cfg, cache=cache).data)
+    assert cache["positions"] == cfg.max_len
+    cached = np.concatenate(rows, axis=0)
+    assert cached.shape == full.shape == (n_tok + 1, vocab.total)
+    assert np.max(np.abs(cached - full)) <= 1e-10
+
+
+@pytest.mark.parametrize("layers,heads", [(1, 2), (2, 4)])
+def test_greedy_generation_matches_oracle(layers, heads):
+    pairs = make_pairs()
+    cfg = tiny_cfg(layers=layers, heads=heads, steps=40, batch_size=4, temperature=0.0)
+    store, vocab, _ = train_lm(pairs, cfg)
+    for keywords, _ in pairs:
+        got = generate(keywords, store, vocab, cfg)
+        want, truncated = oracle_generate(keywords, store, vocab, cfg)
+        assert got.meta["raw_len"] == len(want)
+        assert got.meta["truncated"] == truncated
+        assert got.tokens == want[: len(want) - len(want) % vocab.rvq_depth]
+    # a random head that never picks EOS runs to the cap
+    pairs, vocab, store = random_lm(cfg)
+    store["head.b"].data[vocab.eos_id] = -1e3
+    got = generate(pairs[0][0], store, vocab, cfg)
+    want, truncated = oracle_generate(pairs[0][0], store, vocab, cfg)
+    assert truncated and got.meta["truncated"]
+    assert got.meta["raw_len"] == len(want)
+    assert got.tokens == want[: len(want) - len(want) % vocab.rvq_depth]
+
+
+def test_seeded_sampling_matches_oracle():
+    cfg = tiny_cfg(layers=2, heads=2, temperature=0.7, top_k=3)
+    pairs, vocab, store = random_lm(cfg, seed=3)
+    for seed in range(4):
+        got = generate(pairs[0][0], store, vocab, cfg, np.random.default_rng(seed))
+        want, truncated = oracle_generate(
+            pairs[0][0], store, vocab, cfg, np.random.default_rng(seed)
+        )
+        assert got.meta["raw_len"] == len(want) > 0
+        assert got.meta["truncated"] == truncated
+        assert got.tokens == want[: len(want) - len(want) % vocab.rvq_depth]
+
+
+def test_cache_counts_toward_max_len():
+    cfg = tiny_cfg(max_len=12)
+    pairs, vocab, store = random_lm(cfg)
+    prompt = build_prompt(pairs[0][0], vocab)
+    cache = {}
+    with no_grad():
+        forward_logits(prompt, [vocab.bos_id], store, vocab, cfg, cache=cache)
+        room = cfg.max_len - cache["positions"]
+        with pytest.raises(SequenceTooLong):
+            forward_logits([], [0] * (room + 1), store, vocab, cfg, cache=cache)
+        # the failed call left the cache as it was
+        forward_logits([], [0] * room, store, vocab, cfg, cache=cache)
+        assert cache["positions"] == cfg.max_len
+        with pytest.raises(SequenceTooLong):
+            forward_logits([], [0], store, vocab, cfg, cache=cache)
