@@ -4,8 +4,14 @@ Graphics are compared through a symbol serialization: every command becomes
 nine symbols (its type plus eight coordinates quantized to a 256-bin grid
 over the viewbox, both axes sharing the larger extent). The edit score is
 the Levenshtein distance between two serializations normalized by the
-longer one, which makes it a proper metric on serialized form and keeps the
-oracle (exhaustive recursion on short strings) trivial to state.
+longer one, which makes it a proper metric on serialized form.
+
+The distance is computed by `edit_distance`, the bit-parallel algorithm of
+Myers (1999, JACM 46(3)) in Hyyrö's (2003) formulation for global edit
+distance: one DP column is held as two bit-vectors of vertical deltas, with
+Python ints as bit-vectors of any width, so a pair of serializations of n
+and m symbols costs n big-int steps of m bits instead of n * m Python-level
+cell updates. `levenshtein`, the two-row DP, is kept as its test oracle.
 """
 
 from __future__ import annotations
@@ -65,14 +71,21 @@ def serialize_symbols(g: Graphic) -> list[int]:
     """Nine symbols per command: type, then 256-bin quantized coordinates."""
     min_x, min_y, w, h = g.viewbox
     extent = max(w, h)
-    out: list[int] = []
-    for cmd in g.all_commands():
-        out.append(_TYPE_SYMBOL[cmd.cmd_type])
-        for x, y in cmd.points():
-            for v, lo in ((x, min_x), (y, min_y)):
-                b = int(np.floor((v - lo) / extent * EDIT_BINS))
-                out.append(_BIN_OFFSET + min(max(b, 0), EDIT_BINS - 1))
-    return out
+    cmds = list(g.all_commands())
+    coords = np.array(
+        [[v for p in cmd.points() for v in p] for cmd in cmds], dtype=np.float64
+    ).reshape(len(cmds), 8)
+    lo = np.array([min_x, min_y] * 4, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scaled = (coords - lo) / extent * EDIT_BINS
+    if not np.isfinite(scaled).all():
+        raise ValueError("cannot bin a non-finite coordinate or a zero-extent viewbox")
+    # clip before the integer cast, so out-of-viewbox points clamp to the edge bins
+    bins = np.clip(np.floor(scaled), 0, EDIT_BINS - 1)
+    out = np.empty((len(cmds), 9), dtype=np.int64)
+    out[:, 0] = [_TYPE_SYMBOL[cmd.cmd_type] for cmd in cmds]
+    out[:, 1:] = bins.astype(np.int64) + _BIN_OFFSET
+    return out.ravel().tolist()
 
 
 def code_length(g: Graphic) -> int:
@@ -95,6 +108,45 @@ def levenshtein(a, b) -> int:
     return prev[-1]
 
 
+def edit_distance(a, b) -> int:
+    """Levenshtein distance by the Myers/Hyyrö bit-parallel algorithm; equal
+    to `levenshtein` on any two sequences of hashable symbols.
+
+    Bit i of `pv`/`mv` is set when D[i+1][j] - D[i][j] is +1/-1 in the
+    current column j of the DP over the shorter sequence (rows) and the
+    longer one (columns); `score` follows D[m][j] through the horizontal
+    delta at bit m-1. Complements are taken by XOR with the m-bit mask
+    rather than `~`, so every int stays non-negative: CPython's negative
+    big ints cost extra work on every operation.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    m = len(b)
+    if m == 0:
+        return len(a)
+    peq: dict = {}
+    for i, c in enumerate(b):
+        peq[c] = peq.get(c, 0) | (1 << i)
+    mask = (1 << m) - 1
+    high = 1 << (m - 1)
+    pv, mv, score = mask, 0, m
+    for c in a:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ((xh | pv) ^ mask)
+        mh = pv & xh
+        if ph & high:
+            score += 1
+        elif mh & high:
+            score -= 1
+        # global distance: row 0 is D[0][j] = j, so a +1 enters at bit 0
+        ph = ((ph << 1) | 1) & mask
+        pv = ((mh << 1) & mask) | ((xv | ph) ^ mask)
+        mv = ph & xv
+    return score
+
+
 def edit_score(a: Graphic, b: Graphic) -> float:
     """Normalized edit distance between the two symbol serializations."""
     sa = serialize_symbols(a)
@@ -102,7 +154,7 @@ def edit_score(a: Graphic, b: Graphic) -> float:
     longest = max(len(sa), len(sb))
     if longest == 0:
         return 0.0
-    return levenshtein(sa, sb) / longest
+    return edit_distance(sa, sb) / longest
 
 
 def compression_ratio(code_len: int, token_len: int) -> float:

@@ -11,7 +11,7 @@ begin and end), which keeps every channel geometrically meaningful.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import StroketokError
 
@@ -35,10 +35,6 @@ class MalformedSvg(StroketokError):
 
 class EmptyGraphic(StroketokError):
     """Document contained no drawable content."""
-
-
-class UnsupportedFeature(StroketokError):
-    """Element or attribute outside the supported subset (skipped, logged)."""
 
 
 @dataclass(frozen=True)
@@ -143,7 +139,3 @@ def bounding_box(commands) -> tuple[float, float, float, float]:
     w = max(xs) - min_x
     h = max(ys) - min_y
     return (min_x, min_y, w if w > 0 else 1.0, h if h > 0 else 1.0)
-
-
-def replace_command(cmd: BasicCommand, **kw) -> BasicCommand:
-    return replace(cmd, **kw)

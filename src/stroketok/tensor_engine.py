@@ -11,6 +11,7 @@ np.add.at for scatters), so identical seeds give bit-identical parameters.
 
 from __future__ import annotations
 
+import math
 import struct
 from contextlib import contextmanager
 
@@ -32,6 +33,11 @@ class GraphCycle(StroketokError):
 
 class NoGradient(StroketokError):
     pass
+
+
+class CorruptCheckpoint(StroketokError):
+    """A file that is not a well-formed STKT container: wrong magic, cut
+    short, undecodable names, or bytes after the last entry."""
 
 
 _grad_enabled = True
@@ -637,27 +643,43 @@ def save_named_tensors(path: str, named: dict[str, np.ndarray]) -> None:
 
 
 def load_named_tensors(path: str) -> dict[str, np.ndarray]:
+    """Read a container written by `save_named_tensors`; every read is
+    bounds-checked and the entries must end exactly at the end of the file."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file (bad magic)")
-    (count,) = struct.unpack("<I", blob[4:8])
-    pos = 8
+        raise CorruptCheckpoint(f"{path}: not a checkpoint file (bad magic)")
+    pos = 4
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if n > len(blob) - pos:
+            raise CorruptCheckpoint(
+                f"{path}: checkpoint is truncated or corrupt "
+                f"(needs {n} bytes at offset {pos}, file has {len(blob)})"
+            )
+        pos += n
+        return blob[pos - n : pos]
+
+    (count,) = struct.unpack("<I", take(4))
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (nlen,) = struct.unpack("<H", blob[pos : pos + 2])
-        pos += 2
-        name = blob[pos : pos + nlen].decode("utf-8")
-        pos += nlen
-        (ndim,) = struct.unpack("<B", blob[pos : pos + 1])
-        pos += 1
-        shape = []
-        for _ in range(ndim):
-            (dim,) = struct.unpack("<I", blob[pos : pos + 4])
-            pos += 4
-            shape.append(dim)
-        size = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob[pos : pos + size * 8], dtype="<f8")
-        pos += size * 8
+        (nlen,) = struct.unpack("<H", take(2))
+        try:
+            name = take(nlen).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CorruptCheckpoint(
+                f"{path}: checkpoint is corrupt (tensor name at offset "
+                f"{pos - nlen} is not UTF-8)"
+            ) from e
+        ndim = take(1)[0]
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+        # math.prod on Python ints: a corrupt shape cannot overflow the size
+        arr = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
         out[name] = arr.reshape(shape).astype(np.float64)
+    if pos != len(blob):
+        raise CorruptCheckpoint(
+            f"{path}: checkpoint is corrupt ({len(blob) - pos} bytes after "
+            f"its {count} entries)"
+        )
     return out

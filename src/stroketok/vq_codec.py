@@ -71,6 +71,10 @@ class BadTokenId(StroketokError):
     pass
 
 
+class MalformedTokens(StroketokError):
+    """A token file whose header or token lines do not parse."""
+
+
 @dataclass
 class CodecConfig:
     compression_stages: int = 1
@@ -652,19 +656,31 @@ def load_tokens(path: str) -> StrokeTokenSeq:
     with open(path) as f:
         lines = f.read().splitlines()
     if not lines or not lines[0].startswith("# stroketok v1"):
-        raise ValueError(f"{path}: missing token header")
+        raise MalformedTokens(f"{path}: missing token header")
     fields = dict(
         part.split("=", 1) for part in lines[0].split()[3:] if "=" in part
     )
-    depth = int(fields["d"])
-    tokens = [int(line) for line in lines[1:] if line.strip()]
+    layout = {}
+    # each field's lower bound is the one CodecConfig enforces
+    for key, low in (("d", 1), ("B", 2), ("stages", 1)):
+        value = fields.get(key, "")
+        if not (value.isascii() and value.isdigit()) or int(value) < low:
+            raise MalformedTokens(
+                f"{path}: token header field {key} must be an integer >= {low} "
+                f"(header {lines[0]!r})"
+            )
+        layout[key] = int(value)
+    try:
+        tokens = [int(line) for line in lines[1:] if line.strip()]
+    except ValueError as e:
+        raise MalformedTokens(f"{path}: token lines must be integers ({e})") from e
     return StrokeTokenSeq(
         tokens=tokens,
-        latent_len=len(tokens) // depth,
+        latent_len=len(tokens) // layout["d"],
         meta={
-            "rvq_depth": depth,
-            "codebook_size": int(fields["B"]),
-            "stages": int(fields["stages"]),
+            "rvq_depth": layout["d"],
+            "codebook_size": layout["B"],
+            "stages": layout["stages"],
         },
     )
 

@@ -99,3 +99,42 @@ def test_evaluate_bad_checkpoint_exits_1(pipeline, capsys, jobs):
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (d / "bad.json").exists()
+
+
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+@pytest.mark.parametrize("cut", [6, 300])
+def test_truncated_checkpoint_exits_1_with_one_line(pipeline, capsys, cut):
+    d = pipeline
+    bad = d / f"cut{cut}.ckpt"
+    bad.write_bytes((d / "vq.ckpt").read_bytes()[:cut])
+    tok = sorted((d / "tok").glob("*.tok"))[0]
+    capsys.readouterr()
+    assert cli.main(["detokenize", "--ckpt", str(bad), "--in", str(tok),
+                     "--out", str(d / "cut.json")]) == 1
+    assert f"{bad}: checkpoint is truncated or corrupt" in assert_one_error_line(capsys)
+    assert cli.main(["generate", "--lm", str(d / "lm.ckpt"), "--vq", str(bad),
+                     "--keywords", "circle", "--out", str(d / "cut.json")]) == 1
+    assert f"{bad}: checkpoint is truncated or corrupt" in assert_one_error_line(capsys)
+    assert not (d / "cut.json").exists()
+
+
+@pytest.mark.parametrize(
+    "header", ["# stroketok v1 d=2 stages=1", "# stroketok v1 d=0 B=16 stages=1"]
+)
+def test_malformed_token_header_exits_1_with_one_line(pipeline, capsys, header):
+    d = pipeline
+    good = sorted((d / "tok").glob("*.tok"))[0]
+    bad = d / "bad.tok"
+    bad.write_text("\n".join([header] + good.read_text().splitlines()[1:]) + "\n")
+    capsys.readouterr()
+    assert cli.main(["detokenize", "--ckpt", str(d / "vq.ckpt"), "--in", str(bad),
+                     "--out", str(d / "bad.json")]) == 1
+    assert f"{bad}: token header" in assert_one_error_line(capsys)
+    assert not (d / "bad.json").exists()

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stroketok.metrics import (
     RenderFailure,
@@ -9,13 +11,14 @@ from stroketok.metrics import (
     ZeroLength,
     code_length,
     compression_ratio,
+    edit_distance,
     edit_score,
     levenshtein,
     pixel_iou,
     recall_score,
     serialize_symbols,
 )
-from stroketok.model import Graphic, Path, line_cmd, move_cmd
+from stroketok.model import Graphic, Path, cubic_cmd, line_cmd, move_cmd
 from stroketok.svg_io import gen_synthetic
 from stroketok.vq_codec import StrokeTokenSeq
 
@@ -41,8 +44,24 @@ def seq(tokens, d=2, b=16, stages=1):
     )
 
 
+def scalar_serialize(g):
+    """The per-coordinate loop serialize_symbols replaced; its oracle."""
+    min_x, min_y, w, h = g.viewbox
+    extent = max(w, h)
+    out = []
+    for cmd in g.all_commands():
+        out.append({"M": 0, "L": 1, "C": 2}[cmd.cmd_type])
+        for x, y in cmd.points():
+            for v, lo in ((x, min_x), (y, min_y)):
+                b = int(np.floor((v - lo) / extent * 256))
+                out.append(3 + min(max(b, 0), 255))
+    return out
+
+
 def test_kitten_sitting():
     assert levenshtein("kitten", "sitting") == 3
+    assert edit_distance("kitten", "sitting") == 3
+    assert edit_distance("sitting", "kitten") == 3
 
 
 def test_dp_matches_bruteforce_exhaustive_short():
@@ -53,6 +72,38 @@ def test_dp_matches_bruteforce_exhaustive_short():
     for a in strings:
         for b in strings:
             assert levenshtein(a, b) == brute_force_edit(a, b)
+            # includes either side empty and both argument orders
+            assert edit_distance(a, b) == levenshtein(a, b)
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 127, 128, 129, 300])
+def test_edit_distance_matches_dp_at_bit_widths(m):
+    """The shorter side sets the bit-vector width; cover word boundaries,
+    with the shorter sequence passed first and second."""
+    rng = np.random.default_rng(m)
+    for extra in (0, 1, 37):
+        short = rng.integers(0, 5, size=m).tolist()
+        # the longer side is an edited copy, so distances span small and large
+        long = [s if rng.random() < 0.7 else int(rng.integers(0, 5)) for s in short]
+        long += rng.integers(0, 5, size=extra).tolist()
+        want = levenshtein(long, short)
+        assert edit_distance(short, long) == want
+        assert edit_distance(long, short) == want
+
+
+def test_edit_distance_matches_dp_on_serialized_graphics():
+    sym = [serialize_symbols(g) for g in gen_synthetic(6, 21)]
+    for a, b in itertools.combinations(sym, 2):
+        assert edit_distance(a, b) == levenshtein(a, b)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(st.integers(0, 6), max_size=90),
+    st.lists(st.integers(0, 6), max_size=90),
+)
+def test_edit_distance_equals_dp_property(a, b):
+    assert edit_distance(a, b) == levenshtein(a, b)
 
 
 def test_dp_matches_bruteforce_random_len8():
@@ -91,6 +142,37 @@ def test_edit_score_metric_properties():
 def test_serialization_symbol_count():
     g = gen_synthetic(1, 9)[0]
     assert len(serialize_symbols(g)) == 9 * g.command_count() == code_length(g)
+
+
+def test_serialization_matches_scalar_loop():
+    for g in gen_synthetic(24, 4):
+        assert serialize_symbols(g) == scalar_serialize(g)
+    # a 40 x 10 viewbox offset from the origin, with points left of, above,
+    # right of and below it, so every clamp and the shared extent are used
+    wide = Graphic(
+        paths=(
+            Path((
+                move_cmd((-5.0, 3.0), (-5.0, 3.0)),
+                line_cmd((-5.0, 3.0), (52.5, -7.25)),
+                cubic_cmd((52.5, -7.25), (10.0, 12.4), (29.99, 30.0), (12.0, 4.5)),
+                line_cmd((12.0, 4.5), (50.0, 13.0)),
+            )),
+        ),
+        viewbox=(10.0, 2.0, 40.0, 10.0),
+    )
+    got = serialize_symbols(wide)
+    assert got == scalar_serialize(wide)
+    assert 3 in got and 258 in got
+    assert serialize_symbols(Graphic(paths=(), viewbox=(0, 0, 1, 1))) == []
+
+
+def test_serialization_rejects_non_finite_coordinates():
+    bad = Graphic(
+        paths=(Path((move_cmd((0.0, 0.0), (0.0, 0.0)), line_cmd((0.0, 0.0), (np.nan, 1.0)))),),
+        viewbox=(0, 0, 16, 16),
+    )
+    with pytest.raises(ValueError):
+        serialize_symbols(bad)
 
 
 def test_compression_ratio():

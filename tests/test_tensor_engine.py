@@ -3,6 +3,7 @@ import pytest
 
 from stroketok import tensor_engine as te
 from stroketok.tensor_engine import (
+    CorruptCheckpoint,
     NoGradient,
     ParameterStore,
     ShapeMismatch,
@@ -320,3 +321,36 @@ def test_checkpoint_round_trip(tmp_path):
     blob = p.read_bytes()
     save_named_tensors(str(p), loaded)
     assert p.read_bytes() == blob
+
+
+def test_checkpoint_cut_short_or_padded_raises(tmp_path):
+    p = tmp_path / "ckpt.stkt"
+    save_named_tensors(str(p), {"w": np.arange(6.0).reshape(2, 3), "s": np.array(1.5)})
+    blob = p.read_bytes()
+    bad = tmp_path / "bad.stkt"
+    # every cut point: inside the magic, the count, a name, a shape or a payload
+    for n in range(len(blob)):
+        bad.write_bytes(blob[:n])
+        with pytest.raises(CorruptCheckpoint, match="bad.stkt"):
+            load_named_tensors(str(bad))
+    bad.write_bytes(blob + b"\0")
+    with pytest.raises(CorruptCheckpoint, match="1 bytes after its 2 entries"):
+        load_named_tensors(str(bad))
+
+
+def test_checkpoint_corrupt_name_or_shape_raises(tmp_path):
+    p = tmp_path / "ckpt.stkt"
+    save_named_tensors(str(p), {"w": np.ones((2, 2))})
+    blob = bytearray(p.read_bytes())
+    # layout: magic(4) count(4) name length(2) name(1) ndim(1) dims(4 each)
+    name_at, dim_at = 10, 12
+    undecodable = blob.copy()
+    undecodable[name_at] = 0xFF
+    p.write_bytes(bytes(undecodable))
+    with pytest.raises(CorruptCheckpoint, match="not UTF-8"):
+        load_named_tensors(str(p))
+    huge = blob.copy()
+    huge[dim_at : dim_at + 8] = b"\xff" * 8  # 2**64-ish elements
+    p.write_bytes(bytes(huge))
+    with pytest.raises(CorruptCheckpoint, match="truncated or corrupt"):
+        load_named_tensors(str(p))

@@ -10,6 +10,7 @@ from stroketok.vq_codec import (
     Codebook,
     Diverged,
     EmptyCodebook,
+    MalformedTokens,
     StrokeTokenSeq,
     codec_loss,
     decode,
@@ -397,6 +398,27 @@ def test_token_file_round_trip(tmp_path):
     assert loaded.tokens == seq.tokens
     assert loaded.latent_len == 2
     assert loaded.meta["codebook_size"] == 8
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "0\n1\n",
+        "# stroketok v1 d=2 stages=1\n0\n",
+        "# stroketok v1 d=2 B=8\n0\n",
+        "# stroketok v1 B=8 stages=1\n0\n",
+        "# stroketok v1 d=0 B=8 stages=1\n0\n",
+        "# stroketok v1 d=2 B=1 stages=1\n0\n",
+        "# stroketok v1 d=x B=8 stages=1\n0\n",
+        "# stroketok v1 d=2 B=8 stages=1\n0\nseven\n",
+    ],
+)
+def test_malformed_token_file_raises(tmp_path, text):
+    p = tmp_path / "g.tok"
+    p.write_text(text)
+    with pytest.raises(MalformedTokens, match="g.tok"):
+        load_tokens(str(p))
 
 
 def test_checkpoint_round_trip(tmp_path):
