@@ -132,11 +132,3 @@ def load_pipeline_config(path: str | None, overrides: dict | None = None) -> Pip
                 raise UnknownConfigKey(f"unknown config key {key!r}")
             values[key] = val
     return PipelineConfig(**values)
-
-
-def default_config_text() -> str:
-    """A fully commented config file with every key at its default."""
-    lines = ["# stroketok pipeline configuration (key = value)"]
-    for f in fields(PipelineConfig):
-        lines.append(f"{f.name} = {f.default}")
-    return "\n".join(lines) + "\n"

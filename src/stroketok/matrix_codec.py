@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StroketokError
+from .fixer import default_connect_tol
 from .model import (
     CUBIC,
     LINE,
@@ -68,10 +69,6 @@ class StrokeMatrix:
         return self.rows.shape[0]
 
 
-def default_chain_tol(g: Graphic) -> float:
-    return 1e-6 * g.max_extent()
-
-
 def to_matrix(g: Graphic, chain_tol: float | None = None) -> StrokeMatrix:
     """Stack every command of every path into one unscaled matrix row each.
 
@@ -81,7 +78,7 @@ def to_matrix(g: Graphic, chain_tol: float | None = None) -> StrokeMatrix:
     exceeds `chain_tol` (default 1e-6 of the larger viewbox extent).
     """
     if chain_tol is None:
-        chain_tol = default_chain_tol(g)
+        chain_tol = default_connect_tol(g)
     if not g.paths:
         raise ValueError("graphic has no paths")
     rows = []

@@ -104,26 +104,6 @@ class Graphic:
         return max(self.viewbox[2], self.viewbox[3])
 
 
-def validate_graphic(g: Graphic) -> None:
-    """Check structural invariants of a canonical graphic; raises ValueError."""
-    if not g.paths:
-        raise ValueError("graphic has no paths")
-    if g.viewbox[2] <= 0 or g.viewbox[3] <= 0:
-        raise ValueError(f"viewbox extent must be positive, got {g.viewbox}")
-    for pi, path in enumerate(g.paths):
-        if not path.commands:
-            raise ValueError(f"path {pi} is empty")
-        if path.commands[0].cmd_type != MOVE:
-            raise ValueError(f"path {pi} does not start with MoveTo")
-        for j, cmd in enumerate(path.commands):
-            if cmd.cmd_type not in BASIC_TYPES:
-                raise ValueError(f"path {pi} command {j}: unknown type {cmd.cmd_type!r}")
-            if not cmd.is_finite():
-                raise ValueError(f"path {pi} command {j}: non-finite coordinate")
-            if j + 1 < len(path.commands) and cmd.end != path.commands[j + 1].begin:
-                raise ValueError(f"path {pi}: chain broken between commands {j} and {j + 1}")
-
-
 def bounding_box(commands) -> tuple[float, float, float, float]:
     """(min_x, min_y, width, height) over all command points; degenerate
     extents are padded to 1 so the box is always usable as a viewbox."""

@@ -460,7 +460,7 @@ def load_lm_checkpoint(path: str) -> tuple[ParameterStore, Vocab, LmConfig]:
     named = te.load_named_tensors(path)
 
     def scalar(prefix, name, cast=int):
-        return cast(float(named[f"{prefix}.{name}"]))
+        return cast(float(te.checkpoint_entry(named, f"{prefix}.{name}", path)))
 
     cfg = LmConfig(
         embed_dim=scalar("config", "embed_dim"),
@@ -476,7 +476,11 @@ def load_lm_checkpoint(path: str) -> tuple[ParameterStore, Vocab, LmConfig]:
         mlp_mult=scalar("config", "mlp_mult"),
     )
     words = (
-        named["vocab.words_utf8"].astype(np.uint8).tobytes().decode("utf-8").split("\n")
+        te.checkpoint_entry(named, "vocab.words_utf8", path, ndim=1)
+        .astype(np.uint8)
+        .tobytes()
+        .decode("utf-8")
+        .split("\n")
     )
     vocab = Vocab(
         stroke_vocab=scalar("vocab", "stroke_vocab"),

@@ -361,11 +361,13 @@ def conv1d(
         if x.requires_grad:
             g_cols = (g.T @ w2).reshape(t_out, c_in, k).transpose(1, 0, 2)
             dxp = np.zeros_like(xp)
-            np.add.at(
-                dxp,
-                (np.arange(c_in)[:, None, None], idx[None, :, :]),
-                g_cols,
-            )
+            # One strided add per kernel tap, taps in reverse: input position
+            # p then sums its terms in increasing t (decreasing tap), the
+            # order np.add.at over (C_in, T, K) delivers them, so dx keeps
+            # its bits.
+            span = stride * (t_out - 1) + 1
+            for kk in range(k - 1, -1, -1):
+                dxp[:, kk : kk + span : stride] += g_cols[:, :, kk]
             _accum(x, dxp[:, padding : padding + length])
 
     return _make(out_data, parents, bw)
@@ -683,3 +685,21 @@ def load_named_tensors(path: str) -> dict[str, np.ndarray]:
             f"its {count} entries)"
         )
     return out
+
+
+def checkpoint_entry(
+    named: dict[str, np.ndarray], key: str, path: str, ndim: int = 0
+) -> np.ndarray:
+    """Entry `key` of a loaded checkpoint, checked to be finite with `ndim`
+    dimensions (a scalar by default); CorruptCheckpoint names the path and
+    the key otherwise."""
+    arr = named.get(key)
+    if arr is None:
+        raise CorruptCheckpoint(f"{path}: checkpoint has no {key!r} entry")
+    if arr.ndim != ndim or not np.all(np.isfinite(arr)):
+        kind = "scalar" if ndim == 0 else f"{ndim}-d array"
+        raise CorruptCheckpoint(
+            f"{path}: checkpoint entry {key!r} is not a finite {kind} "
+            f"(shape {arr.shape})"
+        )
+    return arr

@@ -288,7 +288,11 @@ def decode(
 
 
 def _sq_distances(points: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances (N, B), chunked to bound memory."""
+    """Squared Euclidean distances (N, B), chunked to bound memory.
+
+    The brute-force oracle for `_nearest`: its argmin (ties to the lowest
+    index) defines which entry is nearest.
+    """
     n, dim = points.shape
     b = entries.shape[0]
     chunk = max(1, int(4_000_000 / max(b * dim, 1)))
@@ -300,6 +304,77 @@ def _sq_distances(points: np.ndarray, entries: np.ndarray) -> np.ndarray:
         diff = points[s : s + chunk, None, :] - entries[None, :, :]
         out[s : s + chunk] = np.einsum("nbd,nbd->nb", diff, diff)
     return out
+
+
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _nearest(points: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """Index of the nearest entry for each point, (N,): bit for bit
+    `np.argmin(_sq_distances(points, entries), axis=1)`, ties to the lowest
+    index, without the N x B x D difference tensor.
+
+    Distances are first taken in GEMM form, g = |x|^2 - 2 x.e + |e|^2, and
+    checked against the brute force only where they cannot decide. With
+    u = 2^-53, gamma_n = n u / (1 - n u) and R = |x| + max|e|, per entry:
+
+    * the brute force rounds each of its D terms at most D + 1 times
+      (difference, square, D - 1 additions in any order), and its exact
+      value is at most R^2, so it errs by at most gamma_{D+1} R^2;
+    * the GEMM form rounds each of |x|^2, x.e and |e|^2 D times (products
+      and sums in any order; the factor 2 is exact), then twice more adding
+      them, and the three parts' magnitudes sum to at most R^2, so it errs
+      by at most gamma_{D+2} R^2.
+
+    With E the sum of both bounds, a brute-force minimiser j and the GEMM
+    minimiser m satisfy g_j <= b_j + E <= b_m + E <= g_m + 2E (b the brute
+    force). So every brute-force minimiser has g_j <= min g + tol for
+    tol = 4 gamma_{D+2} R^2, which exceeds 2E by at least 2u R^2; that slack
+    covers the rounding of tol and of min g + tol. The term (D + 2) * tiny
+    adds the absolute error gradual underflow can give each product.
+
+    A row with one candidate therefore already holds the brute-force answer.
+
+    Byte-equal copies of an entry (k-means refills and reseeds make them)
+    tie in the GEMM form and would send every point near them to the brute
+    force. A copy has the same brute-force distance to every point as the
+    earlier entry it copies (same operands, same operations), so it is never
+    the lowest-index minimiser: when some rows cannot decide and every entry
+    is finite, copies are dropped and every row is decided again among the
+    first occurrences, where the bound above holds unchanged.
+
+    Rows still with several candidates, or whose minimum or tol is not
+    finite (NaN, inf, overflow), are re-decided by `_sq_distances` itself.
+    """
+    dim = points.shape[1]
+    gamma = (dim + 2) * _UNIT_ROUNDOFF / (1.0 - (dim + 2) * _UNIT_ROUNDOFF)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xx = np.einsum("nd,nd->n", points, points)
+        ee = np.einsum("bd,bd->b", entries, entries)
+        g = xx[:, None] - 2.0 * (points @ entries.T) + ee[None, :]
+        reach = np.sqrt(xx) + np.sqrt(ee.max())
+        tol = 4.0 * gamma * reach * reach + (dim + 2) * np.finfo(np.float64).tiny
+
+        def decide():
+            idx = np.argmin(g, axis=1)
+            bound = g[np.arange(len(idx)), idx] + tol
+            candidates = np.count_nonzero(g <= bound[:, None], axis=1)
+            return idx, (candidates != 1) | ~np.isfinite(bound)
+
+        idx, undecided = decide()
+        if undecided.any() and np.isfinite(ee).all():
+            flat = np.ascontiguousarray(entries)
+            rows = flat.view(np.dtype((np.void, flat.itemsize * dim))).ravel()
+            _, first = np.unique(rows, return_index=True)
+            if len(first) < len(entries):
+                copies = np.ones(len(entries), dtype=bool)
+                copies[first] = False
+                g[:, copies] = np.inf
+                idx, undecided = decide()
+    recheck = np.nonzero(undecided)[0]
+    if len(recheck):
+        idx[recheck] = np.argmin(_sq_distances(points[recheck], entries), axis=1)
+    return idx
 
 
 def quantize_residual(
@@ -324,21 +399,19 @@ def quantize_residual(
     for level, book in enumerate(codebook.levels):
         if book.data.shape[0] == 0:
             raise EmptyCodebook(f"level {level} is empty")
-        idx = np.argmin(_sq_distances(residual, book.data), axis=1)
+        idx = _nearest(residual, book.data)
         level_ids.append(idx)
         residual -= book.data[idx]
         if update_usage:
-            np.add.at(codebook.usage[level], idx, 1)
+            codebook.usage[level] += np.bincount(idx, minlength=size)
         looked = embedding(book, idx)  # (T, Dim), grads flow to the book
         acc = looked if acc is None else add(acc, looked)
     zq = transpose2d(acc)
 
-    tokens: list[int] = []
-    for t in range(t_len):
-        for level, idx in enumerate(level_ids):
-            tokens.append(int(level * size + idx[t]))
+    # timestep-major: row t holds level * |B| + entry for every level
+    ids = np.stack(level_ids, axis=1) + np.arange(codebook.depth) * size
     seq = StrokeTokenSeq(
-        tokens=tokens,
+        tokens=ids.ravel().tolist(),
         latent_len=t_len,
         meta={"rvq_depth": codebook.depth, "codebook_size": size},
     )
@@ -364,12 +437,13 @@ def lookup_tokens(tokens: list[int], codebook: Codebook) -> np.ndarray:
     t_len = len(tokens) // depth
     if t_len == 0:
         raise BadTokenId("token sequence shorter than one frame")
+    frames = np.array(tokens[: t_len * depth]).reshape(t_len, depth)
+    level, entry = np.divmod(frames, size)
+    books = np.stack([book.data for book in codebook.levels])
     out = np.zeros((codebook.dim, t_len))
-    for t in range(t_len):
-        for k in range(depth):
-            tok = tokens[t * depth + k]
-            level, entry = divmod(tok, size)
-            out[:, t] += codebook.levels[level].data[entry]
+    # frame slot by frame slot, so each column sums its entries in token order
+    for k in range(depth):
+        out += books[level[:, k], entry[:, k]].T
     return out
 
 
@@ -412,11 +486,14 @@ def _kmeans(
         centers = data[rng.integers(0, n, size=k)].copy()
         centers += rng.normal(0.0, 1e-4, size=centers.shape)
     for _ in range(iters):
-        assign = np.argmin(_sq_distances(data, centers), axis=1)
+        assign = _nearest(data, centers)
+        # each cluster's members as one contiguous slice, in data order
+        grouped = data[np.argsort(assign, kind="stable")]
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(assign, minlength=k))])
         for c in range(k):
-            members = data[assign == c]
-            if len(members):
-                centers[c] = members.mean(axis=0)
+            lo, hi = bounds[c], bounds[c + 1]
+            if hi > lo:
+                centers[c] = grouped[lo:hi].mean(axis=0)
             else:
                 centers[c] = data[int(rng.integers(0, n))]
     return centers
@@ -452,8 +529,7 @@ def init_codebook_kmeans(
         k = book.data.shape[0]
         centers = _kmeans(residual, k, rng)
         book.data = centers
-        idx = np.argmin(_sq_distances(residual, centers), axis=1)
-        residual -= centers[idx]
+        residual -= centers[_nearest(residual, centers)]
 
 
 def reseed_dead_entries(
@@ -719,21 +795,29 @@ def load_vq_checkpoint(path: str) -> tuple[ParameterStore, Codebook, CodecConfig
     named = te.load_named_tensors(path)
 
     def scalar(name, cast=int):
-        return cast(float(named[f"config.{name}"]))
+        return cast(float(te.checkpoint_entry(named, f"config.{name}", path)))
+
+    def fixer_name():
+        code = scalar("fixer")
+        if code not in _FIXER_NAMES:
+            raise te.CorruptCheckpoint(f"{path}: unknown fixer code {code}")
+        return _FIXER_NAMES[code]
 
     cfg = CodecConfig(
         compression_stages=scalar("compression_stages"),
         rvq_depth=scalar("rvq_depth"),
         codebook_size=scalar("codebook_size"),
         code_dim=scalar("code_dim"),
-        channels=tuple(int(c) for c in named["config.channels"]),
+        channels=tuple(
+            int(c) for c in te.checkpoint_entry(named, "config.channels", path, ndim=1)
+        ),
         alpha=scalar("alpha", float),
         lr=scalar("lr", float),
         seed=scalar("seed"),
         batch_size=scalar("batch_size"),
         steps=scalar("steps"),
         kernel_size=scalar("kernel_size"),
-        fixer_strategy=_FIXER_NAMES[scalar("fixer")],
+        fixer_strategy=fixer_name(),
         conventional_loss_names=bool(scalar("conventional_loss_names")),
     )
     store = init_codec_params(cfg, np.random.default_rng(cfg.seed))

@@ -2,8 +2,11 @@ import re
 
 import pytest
 
+import numpy as np
+
 from stroketok import cli
 from stroketok.stroke_lm import generate, load_lm_checkpoint
+from stroketok.tensor_engine import load_named_tensors, save_named_tensors
 
 TINY_CONFIG = """\
 steps = 3
@@ -137,4 +140,61 @@ def test_malformed_token_header_exits_1_with_one_line(pipeline, capsys, header):
     assert cli.main(["detokenize", "--ckpt", str(d / "vq.ckpt"), "--in", str(bad),
                      "--out", str(d / "bad.json")]) == 1
     assert f"{bad}: token header" in assert_one_error_line(capsys)
+    assert not (d / "bad.json").exists()
+
+
+def rewrite_checkpoint(src, dst, drop=(), replace=None):
+    named = load_named_tensors(str(src))
+    for key in drop:
+        del named[key]
+    named.update(replace or {})
+    save_named_tensors(str(dst), named)
+    return dst
+
+
+def assert_error_names(capsys, path, message):
+    line = assert_one_error_line(capsys)
+    assert f"{path}: " in line and message in line, line
+
+
+def test_checkpoint_missing_or_bad_entry_exits_1_with_one_line(pipeline, capsys):
+    d = pipeline
+    only_w = d / "only_w.ckpt"
+    save_named_tensors(str(only_w), {"w": np.ones((2, 3))})
+    tok = sorted((d / "tok").glob("*.tok"))[0]
+    vq_cases = [
+        (only_w, "no 'config.compression_stages' entry"),
+        (rewrite_checkpoint(d / "vq.ckpt", d / "no_channels.ckpt",
+                            drop=["config.channels"]), "no 'config.channels' entry"),
+        (rewrite_checkpoint(d / "vq.ckpt", d / "vec_depth.ckpt",
+                            replace={"config.rvq_depth": np.array([2.0, 2.0])}),
+         "entry 'config.rvq_depth' is not a finite scalar"),
+        (rewrite_checkpoint(d / "vq.ckpt", d / "inf_stages.ckpt",
+                            replace={"config.compression_stages": np.array(np.inf)}),
+         "entry 'config.compression_stages' is not a finite scalar"),
+        (rewrite_checkpoint(d / "vq.ckpt", d / "bad_fixer.ckpt",
+                            replace={"config.fixer": np.array(7.0)}), "unknown fixer code 7"),
+    ]
+    capsys.readouterr()
+    for bad, message in vq_cases:
+        assert cli.main(["detokenize", "--ckpt", str(bad), "--in", str(tok),
+                         "--out", str(d / "bad.json")]) == 1
+        assert_error_names(capsys, bad, message)
+        assert cli.main(["generate", "--lm", str(d / "lm.ckpt"), "--vq", str(bad),
+                         "--keywords", "circle", "--out", str(d / "bad.json")]) == 1
+        assert_error_names(capsys, bad, message)
+    lm_cases = [
+        (only_w, "no 'config.embed_dim' entry"),
+        (rewrite_checkpoint(d / "lm.ckpt", d / "no_vocab.ckpt",
+                            drop=["vocab.stroke_vocab"]), "no 'vocab.stroke_vocab' entry"),
+        (rewrite_checkpoint(d / "lm.ckpt", d / "no_words.ckpt",
+                            drop=["vocab.words_utf8"]), "no 'vocab.words_utf8' entry"),
+        (rewrite_checkpoint(d / "lm.ckpt", d / "vec_heads.ckpt",
+                            replace={"config.heads": np.ones(2)}),
+         "entry 'config.heads' is not a finite scalar"),
+    ]
+    for bad, message in lm_cases:
+        assert cli.main(["generate", "--lm", str(bad), "--vq", str(d / "vq.ckpt"),
+                         "--keywords", "circle", "--out", str(d / "bad.json")]) == 1
+        assert_error_names(capsys, bad, message)
     assert not (d / "bad.json").exists()

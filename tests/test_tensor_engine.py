@@ -87,6 +87,35 @@ def test_conv1d_bias_and_shape_errors():
         conv1d(x, Tensor(np.ones((3, 2, 9))))
 
 
+def conv1d_dx_scatter(x, kernel, g, stride, padding):
+    """The input gradient of conv1d by one np.add.at scatter of every
+    (channel, output step, tap) term."""
+    c_in, length = x.shape
+    c_out, _, k = kernel.shape
+    t_out = g.shape[1]
+    idx = (np.arange(t_out) * stride)[:, None] + np.arange(k)[None, :]
+    g_cols = (g.T @ kernel.reshape(c_out, c_in * k)).reshape(t_out, c_in, k)
+    dxp = np.zeros((c_in, length + 2 * padding))
+    channels = np.arange(c_in)[:, None, None]
+    np.add.at(dxp, (channels, idx[None]), g_cols.transpose(1, 0, 2))
+    return dxp[:, padding : padding + length]
+
+
+def test_conv1d_input_grad_bit_equal_to_scatter():
+    rng = np.random.default_rng(8)
+    for stride in (1, 2, 3):
+        for padding in (0, 1, 2):
+            for k in range(1, 7):
+                for length in (max(1, k - 2 * padding), 7, 16):
+                    x = rand_param(rng, 3, length)
+                    kern = rand_param(rng, 4, 3, k)
+                    out = conv1d(x, kern, stride=stride, padding=padding)
+                    g = rng.standard_normal(out.data.shape)
+                    backward(sum_all(mul(out, Tensor(g))))
+                    want = conv1d_dx_scatter(x.data, kern.data, g, stride, padding)
+                    assert x.grad.tobytes() == want.tobytes()
+
+
 def test_conv_transpose_scatter_example():
     x = Tensor([[1.0, 0.0]])
     k = Tensor([[[1.0, 1.0]]])

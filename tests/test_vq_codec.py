@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stroketok.matrix_codec import TO_UNIT, scale, to_matrix
 from stroketok.svg_io import gen_synthetic
@@ -28,6 +31,9 @@ from stroketok.vq_codec import (
     tokenize,
     train,
     _decode_tensor,
+    _kmeans,
+    _nearest,
+    _sq_distances,
 )
 
 
@@ -435,3 +441,238 @@ def test_checkpoint_round_trip(tmp_path):
     s1 = tokenize(g, store, codebook, cfg)
     s2 = tokenize(g, store2, codebook2, cfg2)
     assert s1.tokens == s2.tokens
+
+
+# ---------------------------------------------------------------------------
+# _nearest against its brute-force oracle
+# ---------------------------------------------------------------------------
+
+
+def brute_nearest(points, entries):
+    return np.argmin(_sq_distances(points, entries), axis=1)
+
+
+def assert_nearest_exact(points, entries):
+    points = np.asarray(points, dtype=float)
+    entries = np.asarray(entries, dtype=float)
+    got = _nearest(points, entries)
+    np.testing.assert_array_equal(got, brute_nearest(points, entries))
+    return got
+
+
+def test_nearest_duplicated_entries_and_points_on_entries():
+    rng = np.random.default_rng(11)
+    for dim in (1, 3, 16, 64):
+        entries = rng.normal(size=(24, dim))
+        entries[5] = entries[17] = entries[2]
+        entries[9] = entries[0]
+        points = np.concatenate(
+            [entries, entries[[17, 9, 5]], rng.normal(size=(30, dim))]
+        )
+        got = assert_nearest_exact(points, entries)
+        # a point equal to duplicated entries goes to the lowest copy
+        assert got[17] == got[5] == 2 and got[9] == 0
+
+
+def test_nearest_decides_byte_equal_copies_without_the_bruteforce(monkeypatch):
+    import stroketok.vq_codec as vq_codec
+
+    rng = np.random.default_rng(15)
+    oracle = vq_codec._sq_distances
+    for dim in (1, 7, 64):
+        base = rng.normal(size=(12, dim))
+        # copies before and after their first occurrence, as reseeding leaves them
+        entries = base[rng.integers(0, 12, size=40)]
+        points = np.concatenate(
+            [entries, entries + rng.normal(scale=1e-3, size=entries.shape)]
+        )
+        want = np.argmin(oracle(points, entries), axis=1)
+        checked = []
+
+        def counting(p, e):
+            checked.append(len(p))
+            return oracle(p, e)
+
+        monkeypatch.setattr(vq_codec, "_sq_distances", counting)
+        np.testing.assert_array_equal(vq_codec._nearest(points, entries), want)
+        monkeypatch.setattr(vq_codec, "_sq_distances", oracle)
+        assert checked == []
+    # +0.0 and -0.0 differ in bytes, so they are not copies: the brute force decides
+    assert_nearest_exact([[0.0], [-0.0], [1.0]], [[-0.0], [0.0], [0.0], [-0.0]])
+
+
+def test_nearest_exact_midpoints():
+    rng = np.random.default_rng(12)
+    for dim in (1, 2, 7, 32):
+        entries = rng.integers(-4, 5, size=(10, dim)).astype(float)
+        pairs = rng.integers(0, 10, size=(40, 2))
+        points = (entries[pairs[:, 0]] + entries[pairs[:, 1]]) / 2.0
+        assert_nearest_exact(points, entries)
+        # integer grids: many exact distance ties
+        grid = rng.integers(-3, 4, size=(50, dim)).astype(float)
+        assert_nearest_exact(grid, entries)
+
+
+@pytest.mark.parametrize("magnitude", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+def test_nearest_magnitudes(magnitude):
+    rng = np.random.default_rng(13)
+    entries = rng.normal(size=(40, 12)) * magnitude
+    entries[7] = entries[3]
+    points = rng.normal(size=(80, 12)) * magnitude
+    points[:10] = entries[rng.integers(0, 40, size=10)]
+    # a cloud far from the origin: large norms, small differences
+    offset = np.full(12, 1e3 * magnitude)
+    assert_nearest_exact(points, entries)
+    assert_nearest_exact(points + offset, entries + offset)
+
+
+def test_nearest_single_dimension_and_single_point():
+    assert_nearest_exact([[0.5]], [[0.0], [1.0], [0.5], [0.5]])
+    assert_nearest_exact([[0.5]], [[1.0], [0.0]])
+    assert_nearest_exact([[2.0, 1.0, 0.0]], [[2.0, 1.0, 0.0], [2.0, 1.0, 0.0]])
+    assert_nearest_exact(np.linspace(-1, 2, 31)[:, None], [[0.0], [1.0], [1.0], [0.5]])
+    assert_nearest_exact([[3.0]], [[3.0]])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the oracle's inf - inf
+def test_nearest_non_finite_rows_and_entries():
+    rng = np.random.default_rng(14)
+    entries = rng.normal(size=(6, 3))
+    points = rng.normal(size=(8, 3))
+    points[1, 0] = np.nan
+    points[2, 2] = np.inf
+    points[3] = -np.inf
+    assert_nearest_exact(points, entries)
+    for bad in (np.nan, np.inf, -np.inf):
+        e = entries.copy()
+        e[4, 1] = bad
+        assert_nearest_exact(points, e)
+    # squares that overflow
+    assert_nearest_exact(points * 1e200, entries * 1e200)
+
+
+finite = st.floats(-1e3, 1e3, allow_nan=False, width=64)
+grid = st.integers(-2, 2).map(float)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda dim: st.tuples(
+            arrays(np.float64, st.tuples(st.integers(1, 12), st.just(dim)),
+                   elements=st.one_of(grid, finite)),
+            arrays(np.float64, st.tuples(st.integers(1, 12), st.just(dim)),
+                   elements=st.one_of(grid, finite)),
+        )
+    ),
+    st.sampled_from([1e-6, 1.0, 1e6]),
+)
+def test_nearest_matches_bruteforce_property(pair, magnitude):
+    points, entries = pair
+    assert_nearest_exact(points * magnitude, entries * magnitude)
+    # every entry as a point, and the midpoint of each entry and the next
+    assert_nearest_exact(entries, entries)
+    assert_nearest_exact((entries + np.roll(entries, 1, axis=0)) / 2, entries)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda dim: st.tuples(
+            arrays(np.float64, st.tuples(st.integers(1, 12), st.just(dim)),
+                   elements=st.one_of(grid, finite)),
+            arrays(np.float64, st.tuples(st.integers(1, 8), st.just(dim)),
+                   elements=st.one_of(grid, finite)),
+        )
+    ),
+    st.lists(st.integers(0, 7), min_size=1, max_size=16),
+)
+def test_nearest_with_copies_matches_bruteforce_property(pair, picks):
+    points, base = pair
+    entries = base[[i % len(base) for i in picks]]
+    assert_nearest_exact(points, entries)
+    assert_nearest_exact(entries, entries)
+    assert_nearest_exact(base, entries)
+
+
+# ---------------------------------------------------------------------------
+# byte-equal rewrites against test-local copies of the loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def kmeans_mask_loop(data, k, rng, iters=10):
+    n = data.shape[0]
+    if n >= k:
+        centers = data[rng.choice(n, size=k, replace=False)].copy()
+    else:
+        centers = data[rng.integers(0, n, size=k)].copy()
+        centers += rng.normal(0.0, 1e-4, size=centers.shape)
+    for _ in range(iters):
+        assign = np.argmin(_sq_distances(data, centers), axis=1)
+        for c in range(k):
+            members = data[assign == c]
+            if len(members):
+                centers[c] = members.mean(axis=0)
+            else:
+                centers[c] = data[int(rng.integers(0, n))]
+    return centers
+
+
+def test_kmeans_matches_mask_loop():
+    gen = np.random.default_rng(15)
+    cases = []
+    for _ in range(40):
+        n, dim = int(gen.integers(1, 120)), int(gen.integers(1, 9))
+        cases.append(gen.normal(size=(n, dim)) * 10.0 ** gen.uniform(-3, 3))
+    # n < k, and few distinct points so that clusters go empty
+    cases.append(gen.normal(size=(3, 4)))
+    cases.append(np.repeat(gen.normal(size=(3, 5)), 7, axis=0))
+    cases.append(np.zeros((10, 2)))
+    for i, data in enumerate(cases):
+        k = int(gen.integers(1, 40)) if i < 40 else 8
+        rng_a, rng_b = np.random.default_rng(i), np.random.default_rng(i)
+        got = _kmeans(data, k, rng_a)
+        want = kmeans_mask_loop(data, k, rng_b)
+        assert got.tobytes() == want.tobytes()
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def test_quantize_usage_tokens_and_lookup_match_scalar_loops():
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        dim, size = int(rng.integers(1, 9)), int(rng.integers(2, 20))
+        depth = int(rng.integers(1, 4))
+        levels = [rng.normal(size=(size, dim)) for _ in range(depth)]
+        t_len = int(rng.integers(1, 30))
+        z = rng.normal(size=(dim, t_len))
+        book = book_from_arrays(levels)
+        book.usage[0][:] = 3  # counts accumulate onto what is there
+        _, seq = quantize_residual(z, book, update_usage=True)
+
+        residual = z.T.copy()
+        level_ids = []
+        usage = [np.zeros(size, dtype=np.int64) for _ in levels]
+        usage[0][:] = 3
+        for level, lv in enumerate(levels):
+            idx = np.argmin(_sq_distances(residual, lv), axis=1)
+            level_ids.append(idx)
+            residual -= lv[idx]
+            np.add.at(usage[level], idx, 1)
+        tokens = []
+        for t in range(t_len):
+            for level, idx in enumerate(level_ids):
+                tokens.append(int(level * size + idx[t]))
+        assert seq.tokens == tokens
+        assert all(type(tok) is int for tok in seq.tokens)
+        for got, want in zip(book.usage, usage):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+        # any valid ids, levels in any slot, plus a partial trailing frame
+        ids = rng.integers(0, depth * size, size=t_len * depth + depth - 1).tolist()
+        out = np.zeros((dim, t_len))
+        for t in range(t_len):
+            for k in range(depth):
+                level, entry = divmod(ids[t * depth + k], size)
+                out[:, t] += levels[level][entry]
+        got = lookup_tokens(ids, book)
+        assert got.flags.c_contiguous and got.tobytes() == out.tobytes()
