@@ -8,6 +8,12 @@ embedding table that never trains; only the stroke embedding, the decoder
 blocks, and the output head do. The head starts at zero, so an untrained
 model scores every token uniformly (cross-entropy = ln V exactly).
 
+One forward serves every caller. `_trunk` runs a batch of samples as one
+right-padded (B, S, D) array through the blocks, with attention as one
+fused engine op over every head. Training runs one batched graph per step
+(`batch_loss` over the minibatch); `sequence_loss` and `forward_logits` are
+its one-sample case.
+
 Generation decodes incrementally: one prefill pass runs the prompt and BOS
 and keeps every layer's attention K/V rows in a cache owned by the call;
 each further step runs only the newest token against that cache. Training
@@ -30,19 +36,18 @@ from .tensor_engine import (
     ParameterStore,
     Tensor,
     add,
+    attention,
     backward,
     concat,
     cross_entropy,
     embedding,
     layer_norm,
-    matmul,
-    mul,
+    linear,
     narrow,
     no_grad,
     optimizer_step,
     relu,
-    softmax,
-    transpose2d,
+    reshape,
 )
 from .vq_codec import StrokeTokenSeq
 
@@ -78,8 +83,10 @@ class LmConfig:
     def __post_init__(self):
         if self.max_len < 2:
             raise ValueError("max_len must be >= 2")
-        if self.embed_dim % self.heads:
+        if self.heads < 1 or self.embed_dim % self.heads:
             raise ValueError("embed_dim must divide evenly across heads")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
 
 
 @dataclass
@@ -193,41 +200,71 @@ def init_lm_params(vocab: Vocab, cfg: LmConfig) -> ParameterStore:
     return store
 
 
-def _attention(
-    x: Tensor,
+def _trunk(
+    prompts: list[list[int]],
+    token_rows: list[list[int]],
     store: ParameterStore,
-    prefix: str,
+    vocab: Vocab,
     cfg: LmConfig,
-    kv: dict | None = None,
-    start: int = 0,
+    *,
+    width: int = 0,
+    cache: dict | None = None,
 ) -> Tensor:
-    """Causal multi-head self-attention of x's rows over every earlier row.
+    """Hidden states (B, S, D) after the last block, for B samples at once.
 
-    With `kv` (one layer's slot of a generation cache), x holds the rows
-    from position `start` on: their K/V rows are appended to the cached
-    ones and the queries attend over all of them.
+    Sample b's rows are prompts[b] then token_rows[b], right-padded with PAD
+    to S = max(width, longest sample). No key mask is needed for the
+    padding: it sits after the sample's last real row, so the causal mask
+    already hides it from every real row, and a real row's value and
+    gradient do not depend on it.
+
+    `cache` (B = 1 only) is a dict owned by one decoding run holding each
+    layer's K and V rows for the positions seen so far; the new rows start
+    after them, attend over them, and append their own K/V rows.
     """
-    s = x.data.shape[0]
-    dh = cfg.embed_dim // cfg.heads
-    q = add(matmul(x, store[f"{prefix}.wq"]), store[f"{prefix}.wqb"])
-    k = add(matmul(x, store[f"{prefix}.wk"]), store[f"{prefix}.wkb"])
-    v = add(matmul(x, store[f"{prefix}.wv"]), store[f"{prefix}.wvb"])
-    if kv is not None:
-        if kv:
-            k = concat([kv["k"], k], axis=0)
-            v = concat([kv["v"], v], axis=0)
-        kv["k"], kv["v"] = k, v
-    mask = Tensor(np.triu(np.full((s, start + s), _NEG_INF), k=start + 1))
-    heads = []
-    inv_sqrt = Tensor(np.array(1.0 / np.sqrt(dh)))
-    for h in range(cfg.heads):
-        qh = narrow(q, 1, h * dh, dh)
-        kh = narrow(k, 1, h * dh, dh)
-        vh = narrow(v, 1, h * dh, dh)
-        scores = add(mul(matmul(qh, transpose2d(kh)), inv_sqrt), mask)
-        heads.append(matmul(softmax(scores, axis=-1), vh))
-    out = concat(heads, axis=1)
-    return add(matmul(out, store[f"{prefix}.wo"]), store[f"{prefix}.wob"])
+    start = cache["positions"] if cache else 0
+    # prompt words and stroke tokens index one table: the frozen prompt
+    # rows first, then the token rows
+    n_words = store["prompt_embed"].data.shape[0]
+    rows = [
+        list(prompt) + [n_words + t for t in tokens]
+        for prompt, tokens in zip(prompts, token_rows)
+    ]
+    s = max(width, *map(len, rows))
+    if start + s > cfg.max_len:
+        raise SequenceTooLong(f"{start + s} positions > max_len {cfg.max_len}")
+    pad = n_words + vocab.pad_id
+    ids = np.array([row + [pad] * (s - len(row)) for row in rows], dtype=np.int64)
+    table = concat([store["prompt_embed"], store["token_embed"]], axis=0)
+    x = add(embedding(table, ids), narrow(store["pos_embed"], 0, start, s))
+    for layer in range(cfg.layers):
+        p = f"layer{layer}"
+        h = layer_norm(x, store[f"{p}.ln1.g"], store[f"{p}.ln1.b"])
+        q, k, v = (
+            linear(h, store[f"{p}.attn.w{n}"], store[f"{p}.attn.w{n}b"]) for n in "qkv"
+        )
+        if cache is not None:
+            kv = cache.setdefault(p, {})
+            if kv:
+                k = concat([kv["k"], k], axis=1)
+                v = concat([kv["v"], v], axis=1)
+            kv["k"], kv["v"] = k, v
+        a = attention(q, k, v, cfg.heads, start)
+        x = add(x, linear(a, store[f"{p}.attn.wo"], store[f"{p}.attn.wob"]))
+        h = layer_norm(x, store[f"{p}.ln2.g"], store[f"{p}.ln2.b"])
+        h = relu(linear(h, store[f"{p}.mlp.w1"], store[f"{p}.mlp.b1"]))
+        x = add(x, linear(h, store[f"{p}.mlp.w2"], store[f"{p}.mlp.b2"]))
+    if cache is not None:
+        cache["positions"] = start + s
+    return x
+
+
+def _logits(x: Tensor, rows, store: ParameterStore) -> Tensor:
+    """Output logits (len(rows), V) for the given rows of the trunk's
+    (B, S, D) output, flattened (row b*S + i is sample b, position i)."""
+    picked = embedding(reshape(x, (-1, x.data.shape[-1])), rows)
+    h = layer_norm(picked, store["ln_f.g"], store["ln_f.b"])
+    return linear(h, store["head.w"], store["head.b"])
 
 
 def forward_logits(
@@ -243,6 +280,7 @@ def forward_logits(
 
     token_ids start with BOS; causal attention runs over the whole
     prompt+token sequence, loss and sampling read token positions only.
+    This is the one-sample case of the batched trunk that training runs.
 
     `cache`, when given, is a dict owned by one decoding run. It holds
     each layer's K and V rows for the positions seen so far: the new
@@ -251,29 +289,42 @@ def forward_logits(
     is the prefill; each later call passes `([], [token])` and runs one
     position. Without a cache every position is recomputed.
     """
-    start = cache["positions"] if cache else 0
-    total_len = start + len(prompt_ids) + len(token_ids)
-    if total_len > cfg.max_len:
-        raise SequenceTooLong(f"{total_len} positions > max_len {cfg.max_len}")
-    e_prompt = embedding(store["prompt_embed"], np.asarray(prompt_ids, dtype=np.int64))
-    e_tok = embedding(store["token_embed"], np.asarray(token_ids, dtype=np.int64))
-    x = concat([e_prompt, e_tok], axis=0)
-    x = add(x, narrow(store["pos_embed"], 0, start, total_len - start))
-    for layer in range(cfg.layers):
-        p = f"layer{layer}"
-        kv = None if cache is None else cache.setdefault(p, {})
-        h = layer_norm(x, store[f"{p}.ln1.g"], store[f"{p}.ln1.b"])
-        x = add(x, _attention(h, store, f"{p}.attn", cfg, kv, start))
-        h = layer_norm(x, store[f"{p}.ln2.g"], store[f"{p}.ln2.b"])
-        h = add(matmul(h, store[f"{p}.mlp.w1"]), store[f"{p}.mlp.b1"])
-        h = relu(h)
-        h = add(matmul(h, store[f"{p}.mlp.w2"]), store[f"{p}.mlp.b2"])
-        x = add(x, h)
-    if cache is not None:
-        cache["positions"] = total_len
-    x = layer_norm(x, store["ln_f.g"], store["ln_f.b"])
-    logits = add(matmul(x, store["head.w"]), store["head.b"])
-    return narrow(logits, 0, len(prompt_ids), len(token_ids))
+    x = _trunk([prompt_ids], [token_ids], store, vocab, cfg, cache=cache)
+    rows = np.arange(len(prompt_ids), len(prompt_ids) + len(token_ids))
+    return _logits(x, rows, store)
+
+
+def batch_loss(
+    prompts: list[list[int]],
+    seqs: list[list[int]],
+    store: ParameterStore,
+    vocab: Vocab,
+    cfg: LmConfig,
+    *,
+    width: int = 0,
+) -> Tensor:
+    """Teacher-forced CE of B samples in one graph: each sample's mean CE
+    over its n + 1 target positions (its tokens, then EOS), averaged over
+    the samples.
+
+    The trunk runs once over every sample's prompt + [BOS] + tokens rows,
+    right-padded to the longest (or to `width` rows); only the n + 1 real
+    rows of each sample reach the output head, each weighted 1 / (n + 1).
+    """
+    for prompt, seq in zip(prompts, seqs):
+        if len(prompt) + len(seq) + 2 > cfg.max_len:
+            raise SequenceTooLong(
+                f"prompt {len(prompt)} + sequence {len(seq)} + 2 > max_len {cfg.max_len}"
+            )
+    inputs = [[vocab.bos_id] + list(seq) for seq in seqs]
+    x = _trunk(prompts, inputs, store, vocab, cfg, width=width)
+    s = x.data.shape[1]
+    rows = np.concatenate(
+        [b * s + len(p) + np.arange(len(t)) for b, (p, t) in enumerate(zip(prompts, inputs))]
+    )
+    targets = np.concatenate([list(seq) + [vocab.eos_id] for seq in seqs])
+    weights = np.concatenate([np.full(len(t), 1.0 / len(t)) for t in inputs])
+    return cross_entropy(_logits(x, rows, store), targets, weights)
 
 
 def sequence_loss(
@@ -284,25 +335,22 @@ def sequence_loss(
     cfg: LmConfig,
     pad_to: int | None = None,
 ) -> Tensor:
-    """Teacher-forced CE for one sample; PAD positions are masked out."""
-    n = len(seq_tokens)
-    if len(prompt_ids) + n + 2 > cfg.max_len:
-        raise SequenceTooLong(
-            f"prompt {len(prompt_ids)} + sequence {n} + 2 > max_len {cfg.max_len}"
-        )
-    width = n + 1 if pad_to is None else pad_to
-    pad_count = width - (n + 1)
-    inputs = [vocab.bos_id] + list(seq_tokens) + [vocab.pad_id] * pad_count
-    targets = list(seq_tokens) + [vocab.eos_id] + [vocab.pad_id] * pad_count
-    mask = np.array([1.0] * (n + 1) + [0.0] * pad_count)
-    logits = forward_logits(prompt_ids, inputs, store, vocab, cfg)
-    return cross_entropy(logits, np.asarray(targets, dtype=np.int64), mask)
+    """Teacher-forced CE for one sample: the mean over its tokens and EOS.
+
+    The one-sample case of `batch_loss`. With `pad_to`, the token side runs
+    as at least pad_to rows (BOS, the tokens, then PAD rows that no loss
+    reads), as a sample padded inside a training batch does.
+    """
+    width = 0 if pad_to is None else len(prompt_ids) + pad_to
+    return batch_loss([prompt_ids], [seq_tokens], store, vocab, cfg, width=width)
 
 
 def train_lm(
     pairs: list[tuple[list[str], StrokeTokenSeq]], cfg: LmConfig
 ) -> tuple[ParameterStore, Vocab, list[dict]]:
-    """Adam on the decoder/stroke-embedding/head; prompt table stays frozen."""
+    """Adam on the decoder/stroke-embedding/head; prompt table stays frozen.
+
+    Each step runs one batched graph (`batch_loss`) over its minibatch."""
     vocab = build_vocab(pairs)
     store = init_lm_params(vocab, cfg)
     rng = np.random.default_rng(cfg.seed)
@@ -317,28 +365,20 @@ def train_lm(
     log_rows: list[dict] = []
     order = rng.permutation(n)
     cursor = 0
-    steps_per_epoch = max(1, (n + cfg.batch_size - 1) // cfg.batch_size)
+    steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
     for step in range(cfg.steps):
         if cursor == 0 and step > 0:
             order = rng.permutation(n)
         batch = order[cursor * cfg.batch_size : (cursor + 1) * cfg.batch_size]
-        if len(batch) == 0:
-            batch = order[:1]
         cursor = (cursor + 1) % steps_per_epoch
 
-        width = max(len(pairs[int(i)][1].tokens) for i in batch) + 1
-        losses = []
-        for i in batch:
-            _, seq = pairs[int(i)]
-            losses.append(
-                sequence_loss(
-                    prompts[int(i)], seq.tokens, store, vocab, cfg, pad_to=width
-                )
-            )
-        total = losses[0]
-        for item in losses[1:]:
-            total = add(total, item)
-        total = mul(total, Tensor(np.array(1.0 / len(losses))))
+        total = batch_loss(
+            [prompts[i] for i in batch],
+            [pairs[i][1].tokens for i in batch],
+            store,
+            vocab,
+            cfg,
+        )
         backward(total)
         optimizer_step(store, cfg.lr)
         log_rows.append({"step": step, "ce": float(total.data)})
@@ -495,5 +535,5 @@ def load_lm_checkpoint(path: str) -> tuple[ParameterStore, Vocab, LmConfig]:
         for k, v in named.items()
         if not k.startswith("config.") and not k.startswith("vocab.")
     }
-    store.load_state_dict(params)
+    store.load_state_dict(params, path)
     return store, vocab, cfg

@@ -1,12 +1,23 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
 Just enough machinery to train the codec and the toy sequence model: 1-D
-convolutions and their transposes, elementwise ops, matmul, softmax,
-layer norm, embedding lookup, MSE and masked cross-entropy, stop-gradient,
-and Adam. Every recorded op stores a closure that scatters the incoming
-gradient to its parents; backward() walks the graph in reverse topological
-order. All math is float64 and deterministic (fixed reduction order,
-np.add.at for scatters), so identical seeds give bit-identical parameters.
+convolutions and their transposes, elementwise ops, matmul, a linear layer,
+fused causal multi-head attention, softmax, layer norm, embedding lookup
+(row gather), MSE and masked cross-entropy, stop-gradient, and Adam. Every
+recorded op stores a closure that scatters the incoming gradient to its
+parents; backward() walks the graph in reverse topological order.
+
+Batch axis: the sequence-model ops take leading axes. `linear`,
+`layer_norm`, `relu` and `add` act on (..., D) rows however many leading
+axes there are, `embedding` takes ids of any shape, and `attention` takes
+(B, S, D) queries against (B, T, D) keys and values and splits D into heads
+itself. The convolutions stay single-sample (C, L).
+
+All math is float64 and deterministic (fixed reduction order), so identical
+seeds give bit-identical parameters. The one scatter whose indices may
+repeat, `embedding`'s backward, uses np.add.at, which adds in index order.
+Every other backward writes each gradient entry from one place, by slicing
+or by assignment (conv1d adds one strided slice per tap).
 """
 
 from __future__ import annotations
@@ -21,6 +32,11 @@ from .errors import StroketokError
 
 CHECKPOINT_MAGIC = b"STKT"
 CHECKPOINT_FORMAT_VERSION = "checkpoint STKT v1"
+
+
+# score of a masked attention key: far below any real score, so exp() of
+# it after max-subtraction is exactly 0
+_MASKED = -1e9
 
 
 class ShapeMismatch(StroketokError):
@@ -216,6 +232,29 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _accum(b, a.data.T @ g)
 
     return _make(out_data, (a, b), bw)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x (..., D) @ w (D, E) + b (E,), as one GEMM over every leading row."""
+    xd, wd = x.data, w.data
+    if wd.ndim != 2 or xd.ndim < 1 or xd.shape[-1] != wd.shape[0] or (
+        b.data.shape != (wd.shape[1],)
+    ):
+        raise ShapeMismatch(f"linear x{xd.shape} w{wd.shape} b{b.data.shape}")
+    x2 = xd.reshape(-1, wd.shape[0])
+    out = x2 @ wd
+    out += b.data
+    out_data = out.reshape(xd.shape[:-1] + (wd.shape[1],))
+
+    def bw(g):
+        g2 = g.reshape(-1, wd.shape[1])
+        if w.requires_grad:
+            _accum(w, x2.T @ g2)
+        _accum(b, g2.sum(axis=0))
+        if x.requires_grad:
+            _accum(x, (g2 @ wd.T).reshape(xd.shape))
+
+    return _make(out_data, (x, w, b), bw)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -427,23 +466,81 @@ def conv_transpose1d(
 
 
 def embedding(table: Tensor, ids) -> Tensor:
-    """Row gather: table (V, D), ids int array (S,), output (S, D)."""
+    """Row gather: table (V, D), int ids of any shape, output ids.shape + (D,)."""
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ShapeMismatch(f"ids must be 1-D, got {ids.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise ShapeMismatch(
             f"id out of range [0, {table.data.shape[0]}): {ids.min()}..{ids.max()}"
         )
-    out_data = table.data[ids].copy()
+    out_data = table.data[ids]
 
     def bw(g):
         if table.requires_grad:
             gt = np.zeros_like(table.data)
-            np.add.at(gt, ids, g)
+            np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
             _accum(table, gt)
 
     return _make(out_data, (table,), bw)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, start: int = 0) -> Tensor:
+    """Causal multi-head scaled dot-product attention as one op.
+
+    q (B, S, D) holds the rows at positions start .. start+S-1; k and v
+    (B, start+S, D) hold every position up to the last query (`start` > 0
+    when earlier keys and values come from a decoding cache). Each of the
+    `heads` heads owns dh = D / heads consecutive columns, and works in
+    (B, H, S, dh):
+
+        out_h[i] = softmax_j(q_h[i] . k_h[j] / sqrt(dh) + mask[i, j]) @ v_h
+
+    where mask is -1e9 for j > start + i (a later position) and 0 otherwise,
+    so a masked key gets weight exactly 0. Output (B, S, D), the heads'
+    columns in head order.
+    """
+    qd, kd, vd = q.data, k.data, v.data
+    if qd.ndim != 3 or kd.shape != vd.shape or kd.ndim != 3:
+        raise ShapeMismatch(f"attention q{qd.shape} k{kd.shape} v{vd.shape}")
+    b, s, d = qd.shape
+    t = kd.shape[1]
+    if kd.shape[0] != b or kd.shape[2] != d or start < 0 or t != start + s:
+        raise ShapeMismatch(
+            f"attention q{qd.shape} k{kd.shape} v{vd.shape} start {start}"
+        )
+    if heads < 1 or d % heads:
+        raise ShapeMismatch(f"attention width {d} does not split into {heads} heads")
+    dh = d // heads
+    scale = 1.0 / np.sqrt(dh)
+
+    def split(a, n):  # (B, n, D) -> (B, H, n, dh)
+        return a.reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(a, n):  # (B, H, n, dh) -> (B, n, D)
+        return a.transpose(0, 2, 1, 3).reshape(b, n, d)
+
+    qh, kh, vh = split(qd, s), split(kd, t), split(vd, t)
+    # p holds the scores, then (in place: these arrays are the op's bulk)
+    # the attention weights
+    p = qh @ kh.transpose(0, 1, 3, 2)
+    p *= scale
+    if s > 1:  # one query row, the last position, sees every key
+        p += np.triu(np.full((s, t), _MASKED), k=start + 1)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out_data = merge(p @ vh, s)
+
+    def bw(g):
+        gh = split(g, s)
+        # softmax backward, in place: dz = p * (dp - sum_j dp * p)
+        dz = gh @ vh.transpose(0, 1, 3, 2)
+        dz -= np.einsum("bhij,bhij->bhi", dz, p)[..., None]
+        dz *= p
+        _accum(q, merge(dz @ kh, s) * scale)
+        _accum(k, merge(dz.transpose(0, 1, 3, 2) @ qh, t) * scale)
+        _accum(v, merge(p.transpose(0, 1, 3, 2) @ gh, t))
+
+    return _make(out_data, (q, k, v), bw)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -460,10 +557,13 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # mean and variance as np.mean and np.var compute them, without their
+    # per-call overhead
+    n = x.data.shape[-1]
+    xc = x.data - x.data.sum(axis=-1, keepdims=True) / n
+    var = (xc * xc).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = xc * inv
     out_data = xhat * gain.data + bias.data
 
     def bw(g):
@@ -498,8 +598,9 @@ def mse_loss(a: Tensor, b: Tensor) -> Tensor:
 def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
     """Mean negative log-likelihood over unmasked positions.
 
-    logits (S, V); targets int (S,); mask float (S,) or None. Positions with
-    mask 0 contribute exactly zero loss and zero gradient.
+    logits (S, V); targets int (S,); mask float (S,) or None. The mask
+    weighs each position: the loss is sum(mask * nll) / sum(mask), and
+    positions with mask 0 contribute exactly zero loss and zero gradient.
     """
     targets = np.asarray(targets, dtype=np.int64)
     ld = logits.data
@@ -584,16 +685,26 @@ class ParameterStore:
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self._params.items()}
 
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        for name, arr in state.items():
-            if name not in self._params:
-                raise KeyError(f"unknown parameter {name!r}")
-            t = self._params[name]
-            if t.data.shape != arr.shape:
-                raise ShapeMismatch(
-                    f"{name}: checkpoint shape {arr.shape} != {t.data.shape}"
+    def load_state_dict(self, state: dict[str, np.ndarray], path: str) -> None:
+        """Set every parameter from `state`, the tensors of checkpoint
+        `path`. Names and shapes must match the store exactly: a missing
+        parameter, an unknown tensor or a wrong shape raises
+        CorruptCheckpoint naming the path and the key."""
+        for name, t in self._params.items():
+            if name not in state:
+                raise CorruptCheckpoint(f"{path}: checkpoint has no {name!r} entry")
+            if state[name].shape != t.data.shape:
+                raise CorruptCheckpoint(
+                    f"{path}: checkpoint entry {name!r} has shape "
+                    f"{state[name].shape}, expected {t.data.shape}"
                 )
-            t.data = np.array(arr, dtype=np.float64)
+        for name in state:
+            if name not in self._params:
+                raise CorruptCheckpoint(
+                    f"{path}: checkpoint has an unknown entry {name!r}"
+                )
+        for name, t in self._params.items():
+            t.data = np.array(state[name], dtype=np.float64)
 
 
 def optimizer_step(

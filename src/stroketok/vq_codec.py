@@ -101,6 +101,8 @@ class CodecConfig:
             raise ValueError("codebook_size must be >= 2")
         if self.code_dim < 1 or self.alpha < 0:
             raise ValueError("code_dim must be >= 1 and alpha >= 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.fixer_strategy not in _FIXER_CODES:
             raise ValueError(f"fixer_strategy must be one of {sorted(_FIXER_CODES)}")
         if self.kernel_size < 2 or self.kernel_size % 2:
@@ -580,7 +582,7 @@ def train(
 
     log_rows: list[dict] = []
     reservoir: list[np.ndarray] = []
-    steps_per_epoch = max(1, (n + cfg.batch_size - 1) // cfg.batch_size)
+    steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
     cursor = 0
     recent_recon: list[float] = []
 
@@ -596,8 +598,6 @@ def train(
 
         lo = cursor * cfg.batch_size
         batch_idx = order[lo : lo + cfg.batch_size]
-        if len(batch_idx) == 0:
-            batch_idx = order[:1]
         cursor = (cursor + 1) % steps_per_epoch
 
         totals = []
@@ -827,7 +827,7 @@ def load_vq_checkpoint(path: str) -> tuple[ParameterStore, Codebook, CodecConfig
     }
     for k in usage_arrays:
         params.pop(k)
-    store.load_state_dict(params)
+    store.load_state_dict(params, path)
     codebook = make_codebook(cfg, store)
     for level in range(cfg.rvq_depth):
         key = f"codebook.usage{level}"

@@ -198,3 +198,36 @@ def test_checkpoint_missing_or_bad_entry_exits_1_with_one_line(pipeline, capsys)
                          "--keywords", "circle", "--out", str(d / "bad.json")]) == 1
         assert_error_names(capsys, bad, message)
     assert not (d / "bad.json").exists()
+
+
+def test_checkpoint_parameters_must_match_the_model(pipeline, capsys):
+    d = pipeline
+    tok = sorted((d / "tok").glob("*.tok"))[0]
+    vq_cases = [
+        (rewrite_checkpoint(d / "vq.ckpt", d / "vq_extra.ckpt", replace={"w": np.ones(3)}),
+         "unknown entry 'w'"),
+        (rewrite_checkpoint(d / "vq.ckpt", d / "vq_missing.ckpt", drop=["dec0.up.b"]),
+         "no 'dec0.up.b' entry"),
+        (rewrite_checkpoint(d / "vq.ckpt", d / "vq_shape.ckpt",
+                            replace={"enc0.down.b": np.ones(3)}),
+         "entry 'enc0.down.b' has shape (3,)"),
+    ]
+    capsys.readouterr()
+    for bad, message in vq_cases:
+        assert cli.main(["detokenize", "--ckpt", str(bad), "--in", str(tok),
+                         "--out", str(d / "bad.json")]) == 1
+        assert_error_names(capsys, bad, message)
+        assert cli.main(["generate", "--lm", str(d / "lm.ckpt"), "--vq", str(bad),
+                         "--keywords", "circle", "--out", str(d / "bad.json")]) == 1
+        assert_error_names(capsys, bad, message)
+    lm_cases = [
+        (rewrite_checkpoint(d / "lm.ckpt", d / "lm_extra.ckpt", replace={"w": np.ones(3)}),
+         "unknown entry 'w'"),
+        (rewrite_checkpoint(d / "lm.ckpt", d / "lm_missing.ckpt", drop=["head.b"]),
+         "no 'head.b' entry"),
+    ]
+    for bad, message in lm_cases:
+        assert cli.main(["generate", "--lm", str(bad), "--vq", str(d / "vq.ckpt"),
+                         "--keywords", "circle", "--out", str(d / "bad.json")]) == 1
+        assert_error_names(capsys, bad, message)
+    assert not (d / "bad.json").exists()

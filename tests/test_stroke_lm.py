@@ -10,6 +10,7 @@ from stroketok.stroke_lm import (
     SequenceTooLong,
     Vocab,
     build_prompt,
+    batch_loss,
     build_vocab,
     forward_logits,
     generate,
@@ -20,7 +21,23 @@ from stroketok.stroke_lm import (
     sequence_loss,
     train_lm,
 )
-from stroketok.tensor_engine import backward, no_grad
+from stroketok import tensor_engine as te
+from stroketok.tensor_engine import (
+    Tensor,
+    add,
+    backward,
+    concat,
+    cross_entropy,
+    embedding,
+    layer_norm,
+    matmul,
+    mul,
+    narrow,
+    no_grad,
+    relu,
+    softmax,
+    transpose2d,
+)
 from stroketok.vq_codec import StrokeTokenSeq
 
 
@@ -172,6 +189,12 @@ def test_train_freezes_prompt_table():
     assert store["prompt_embed"].data.tobytes() == before
     assert len(logs) == 20
     assert logs[-1]["ce"] < logs[0]["ce"]
+
+
+@pytest.mark.parametrize("bad", [{"batch_size": 0}, {"heads": 0}, {"heads": 3}])
+def test_config_rejects_empty_batches_and_uneven_heads(bad):
+    with pytest.raises(ValueError):
+        tiny_cfg(**bad)
 
 
 def test_sequence_too_long():
@@ -369,3 +392,144 @@ def test_cache_counts_toward_max_len():
         assert cache["positions"] == cfg.max_len
         with pytest.raises(SequenceTooLong):
             forward_logits([], [0], store, vocab, cfg, cache=cache)
+
+
+# ---------------------------------------------------------------------------
+# The batched training step against the per-sample, per-head graph
+# ---------------------------------------------------------------------------
+
+
+def oracle_attention(x, store, prefix, cfg):
+    """Causal self-attention one head at a time, as separate engine ops."""
+    s = x.data.shape[0]
+    dh = cfg.embed_dim // cfg.heads
+    q = add(matmul(x, store[f"{prefix}.wq"]), store[f"{prefix}.wqb"])
+    k = add(matmul(x, store[f"{prefix}.wk"]), store[f"{prefix}.wkb"])
+    v = add(matmul(x, store[f"{prefix}.wv"]), store[f"{prefix}.wvb"])
+    mask = Tensor(np.triu(np.full((s, s), -1e9), k=1))
+    inv_sqrt = Tensor(np.array(1.0 / np.sqrt(dh)))
+    heads = []
+    for h in range(cfg.heads):
+        qh = narrow(q, 1, h * dh, dh)
+        kh = narrow(k, 1, h * dh, dh)
+        vh = narrow(v, 1, h * dh, dh)
+        scores = add(mul(matmul(qh, transpose2d(kh)), inv_sqrt), mask)
+        heads.append(matmul(softmax(scores, axis=-1), vh))
+    out = concat(heads, axis=1)
+    return add(matmul(out, store[f"{prefix}.wo"]), store[f"{prefix}.wob"])
+
+
+def oracle_forward_logits(prompt_ids, token_ids, store, cfg):
+    """One sample's logits at its token positions, built as (S, D) rows."""
+    e_prompt = embedding(store["prompt_embed"], np.asarray(prompt_ids, dtype=np.int64))
+    e_tok = embedding(store["token_embed"], np.asarray(token_ids, dtype=np.int64))
+    x = concat([e_prompt, e_tok], axis=0)
+    x = add(x, narrow(store["pos_embed"], 0, 0, len(prompt_ids) + len(token_ids)))
+    for layer in range(cfg.layers):
+        p = f"layer{layer}"
+        h = layer_norm(x, store[f"{p}.ln1.g"], store[f"{p}.ln1.b"])
+        x = add(x, oracle_attention(h, store, f"{p}.attn", cfg))
+        h = layer_norm(x, store[f"{p}.ln2.g"], store[f"{p}.ln2.b"])
+        h = relu(add(matmul(h, store[f"{p}.mlp.w1"]), store[f"{p}.mlp.b1"]))
+        x = add(x, add(matmul(h, store[f"{p}.mlp.w2"]), store[f"{p}.mlp.b2"]))
+    x = layer_norm(x, store["ln_f.g"], store["ln_f.b"])
+    logits = add(matmul(x, store["head.w"]), store["head.b"])
+    return narrow(logits, 0, len(prompt_ids), len(token_ids))
+
+
+def oracle_step_loss(prompts, seqs, store, vocab, cfg):
+    """A training step's loss as one graph per sample: every sample padded
+    to the batch's longest token side, its masked CE, then their mean."""
+    width = max(len(seq) for seq in seqs) + 1
+    total = None
+    for prompt, seq in zip(prompts, seqs):
+        pad_count = width - (len(seq) + 1)
+        inputs = [vocab.bos_id] + list(seq) + [vocab.pad_id] * pad_count
+        targets = list(seq) + [vocab.eos_id] + [vocab.pad_id] * pad_count
+        mask = np.array([1.0] * (len(seq) + 1) + [0.0] * pad_count)
+        logits = oracle_forward_logits(prompt, inputs, store, cfg)
+        loss = cross_entropy(logits, np.asarray(targets, dtype=np.int64), mask)
+        total = loss if total is None else add(total, loss)
+    return mul(total, Tensor(np.array(1.0 / len(seqs))))
+
+
+def randomized_store(vocab, cfg, seed):
+    """Every trainable parameter set to random values, so that every
+    gradient (not only the head's) is non-zero."""
+    store = init_lm_params(vocab, cfg)
+    rng = np.random.default_rng(seed)
+    for name, t in store.trainable():
+        t.data = t.data + rng.normal(0.0, 0.3, size=t.data.shape)
+    return store
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("batch", [1, 5])
+def test_batched_step_matches_per_sample_oracle(layers, heads, batch):
+    cfg = tiny_cfg(layers=layers, heads=heads, max_len=40)
+    pairs = make_pairs(n_pairs=6)
+    vocab = build_vocab(pairs)
+    keywords = [["circle"], ["star", "large"], ["polygon", "small", "star"],
+                ["polyline"], ["large", "small"]]
+    prompts = [build_prompt(kw, vocab) for kw in keywords][:batch]
+    rng = np.random.default_rng(layers * 100 + heads * 10 + batch)
+    seqs = [
+        [int(t) for t in rng.integers(0, vocab.stroke_vocab, size=n)]
+        for n in (7, 0, 12, 3, 9)[:batch]
+    ]
+    if batch > 1:
+        assert len({len(p) for p in prompts}) > 1 and len({len(s) for s in seqs}) > 1
+    got_store = randomized_store(vocab, cfg, seed=heads)
+    want_store = randomized_store(vocab, cfg, seed=heads)
+
+    got = batch_loss(prompts, seqs, got_store, vocab, cfg)
+    want = oracle_step_loss(prompts, seqs, want_store, vocab, cfg)
+    assert abs(float(got.data) - float(want.data)) <= 1e-12
+    backward(got)
+    backward(want)
+    for name, t in want_store.trainable():
+        assert np.any(t.grad != 0.0), name
+        assert np.max(np.abs(got_store[name].grad - t.grad)) <= 1e-12, name
+
+
+def count_engine_ops(monkeypatch):
+    """Patch the engine so that every recorded op bumps the returned list."""
+    calls = []
+    real = te._make
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(te, "_make", counting)
+    return calls
+
+
+def test_ops_per_training_step_do_not_grow_with_batch(monkeypatch):
+    pairs = make_pairs(n_pairs=8)
+    per_step = {}
+    for batch_size in (2, 8):
+        cfg = tiny_cfg(steps=3, batch_size=batch_size)
+        calls = count_engine_ops(monkeypatch)
+        train_lm(pairs, cfg)
+        per_step[batch_size] = len(calls) / cfg.steps
+        monkeypatch.undo()
+    assert per_step[2] == per_step[8]
+
+
+def test_ops_per_decode_step_do_not_grow_with_heads(monkeypatch):
+    per_step = {}
+    for heads in (1, 2, 4):
+        cfg = tiny_cfg(heads=heads)
+        pairs, vocab, store = random_lm(cfg)
+        cache = {}
+        with no_grad():
+            forward_logits(build_prompt(pairs[0][0], vocab), [vocab.bos_id],
+                           store, vocab, cfg, cache=cache)
+            calls = count_engine_ops(monkeypatch)
+            forward_logits([], [0], store, vocab, cfg, cache=cache)
+        per_step[heads] = len(calls)
+        monkeypatch.undo()
+    # one layer of two heads took 47 ops per step with a loop over heads
+    assert per_step[1] == per_step[2] == per_step[4] < 47

@@ -8,6 +8,7 @@ from stroketok.tensor_engine import (
     ParameterStore,
     ShapeMismatch,
     Tensor,
+    attention,
     backward,
     clip,
     concat,
@@ -16,6 +17,7 @@ from stroketok.tensor_engine import (
     cross_entropy,
     embedding,
     layer_norm,
+    linear,
     load_named_tensors,
     matmul,
     mean_all,
@@ -223,6 +225,83 @@ def test_gradcheck_all_primitives():
 
     tp = rand_param(rng, 3, 5)
     fd_check(lambda: sum_all(transpose2d(tp)), [tp])
+
+
+def per_head_attention(q, k, v, heads, start):
+    """Plain-numpy causal attention, one (batch, head) pair at a time."""
+    b, s, d = q.shape
+    dh = d // heads
+    out = np.zeros_like(q)
+    for bi in range(b):
+        for h in range(heads):
+            cols = slice(h * dh, (h + 1) * dh)
+            for i in range(s):
+                seen = start + i + 1
+                z = k[bi, :seen, cols] @ q[bi, i, cols] / np.sqrt(dh)
+                w = np.exp(z - z.max())
+                out[bi, i, cols] = (w / w.sum()) @ v[bi, :seen, cols]
+    return out
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("start", [0, 3])
+def test_attention_matches_per_head_loop(heads, start):
+    rng = np.random.default_rng(heads * 10 + start)
+    q = rng.standard_normal((2, 5, 8))
+    k = rng.standard_normal((2, start + 5, 8))
+    v = rng.standard_normal((2, start + 5, 8))
+    got = attention(Tensor(q), Tensor(k), Tensor(v), heads, start).data
+    np.testing.assert_allclose(got, per_head_attention(q, k, v, heads, start), atol=1e-12)
+
+
+@pytest.mark.parametrize("start", [0, 2])
+def test_gradcheck_attention(start):
+    rng = np.random.default_rng(start)
+    q = rand_param(rng, 2, 3, 4)
+    k = rand_param(rng, 2, start + 3, 4)
+    v = rand_param(rng, 2, start + 3, 4)
+    w = Tensor(rng.standard_normal((2, 3, 4)))
+    fd_check(lambda: mean_all(mul(attention(q, k, v, 2, start), w)), [q, k, v])
+
+
+def test_gradcheck_batched_linear_and_embedding():
+    rng = np.random.default_rng(3)
+    x = rand_param(rng, 2, 3, 4)
+    w = rand_param(rng, 4, 5)
+    b = rand_param(rng, 5)
+    wl = Tensor(rng.standard_normal((2, 3, 5)))
+    fd_check(lambda: mean_all(mul(linear(x, w, b), wl)), [x, w, b])
+    out = linear(x, w, b)
+    np.testing.assert_allclose(out.data, np.einsum("bsd,de->bse", x.data, w.data) + b.data)
+
+    table = rand_param(rng, 6, 3)
+    ids = np.array([[0, 5, 5], [2, 0, 1]])
+    assert embedding(table, ids).data.shape == (2, 3, 3)
+    we = Tensor(rng.standard_normal((2, 3, 3)))
+    fd_check(lambda: mean_all(mul(embedding(table, ids), we)), [table])
+
+
+def test_batched_ops_shape_errors():
+    def t(*shape):
+        return Tensor(np.ones(shape))
+
+    good = (t(2, 3, 4), t(2, 5, 4), t(2, 5, 4))
+    assert attention(*good, 2, 2).data.shape == (2, 3, 4)
+    bad_calls = [
+        lambda: attention(*good, 3, 2),  # D = 4 does not split into 3 heads
+        lambda: attention(*good, 0, 2),
+        lambda: attention(*good, 2, 1),  # keys must cover start + S positions
+        lambda: attention(t(3, 4), t(5, 4), t(5, 4), 2, 2),
+        lambda: attention(t(2, 3, 4), t(2, 5, 4), t(2, 4, 4), 2, 2),
+        lambda: attention(t(2, 3, 4), t(1, 5, 4), t(1, 5, 4), 2, 2),
+        lambda: attention(t(2, 3, 4), t(2, 5, 6), t(2, 5, 6), 2, 2),
+        lambda: linear(t(2, 3, 4), t(5, 6), t(6)),
+        lambda: linear(t(2, 3, 4), t(4, 6), t(5)),
+        lambda: linear(t(2, 3, 4), t(4), t(4)),
+    ]
+    for call in bad_calls:
+        with pytest.raises(ShapeMismatch):
+            call()
 
 
 def test_gradcheck_composed_network_many_seeds():

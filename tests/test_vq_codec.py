@@ -84,6 +84,11 @@ def brute_force_rvq(point: np.ndarray, levels: list[np.ndarray]):
     return tokens, total
 
 
+def test_config_rejects_empty_batches():
+    with pytest.raises(ValueError):
+        small_cfg(batch_size=0)
+
+
 def test_quantize_hand_example():
     # two levels of two entries each; worked by hand
     book = book_from_arrays([[(0.0, 0.0), (1.0, 1.0)], [(0.0, 0.0), (0.2, 0.0)]])
