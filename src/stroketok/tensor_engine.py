@@ -134,11 +134,12 @@ def _make(data, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add `g` to t's gradient. The first gradient is stored as given, and
+    later ones are added out of place, so no array passed in is written to
+    (one `g` may reach several parents)."""
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def backward(loss: Tensor) -> None:
@@ -196,8 +197,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
 
     def bw(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
 
     return _make(out_data, (a, b), bw)
 
@@ -206,8 +209,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data - b.data
 
     def bw(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g, b.data.shape))
 
     return _make(out_data, (a, b), bw)
 
@@ -216,8 +221,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
 
     def bw(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _make(out_data, (a, b), bw)
 
