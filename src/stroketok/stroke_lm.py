@@ -361,17 +361,9 @@ def train_lm(
                 f"pair with keywords {kw!r}: {len(seq.tokens)} tokens too long"
             )
 
-    n = len(pairs)
     log_rows: list[dict] = []
-    order = rng.permutation(n)
-    cursor = 0
-    steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
-    for step in range(cfg.steps):
-        if cursor == 0 and step > 0:
-            order = rng.permutation(n)
-        batch = order[cursor * cfg.batch_size : (cursor + 1) * cfg.batch_size]
-        cursor = (cursor + 1) % steps_per_epoch
-
+    batches = te.minibatches(len(pairs), cfg.batch_size, rng)
+    for step, batch in zip(range(cfg.steps), batches):
         total = batch_loss(
             [prompts[i] for i in batch],
             [pairs[i][1].tokens for i in batch],

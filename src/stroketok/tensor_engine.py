@@ -743,6 +743,29 @@ def optimizer_step(
     store.zero_grads()
 
 
+def minibatches(
+    n: int,
+    batch_size: int,
+    rng: np.random.Generator,
+    order: np.ndarray | None = None,
+    before_epoch=None,
+):
+    """Index arrays of consecutive minibatches, epoch after epoch, without
+    end. Each epoch walks one permutation of range(n), drawn from `rng`
+    when the epoch's first batch is asked for; `order` is the first epoch's
+    permutation if the caller drew it already. `before_epoch()`, if given,
+    runs at the start of every later epoch, before its permutation is
+    drawn, so what it draws from `rng` comes first."""
+    while True:
+        if order is None:
+            order = rng.permutation(n)
+        for lo in range(0, n, batch_size):
+            yield order[lo : lo + batch_size]
+        if before_epoch is not None:
+            before_epoch()
+        order = None
+
+
 def save_named_tensors(path: str, named: dict[str, np.ndarray]) -> None:
     """Little-endian named-tensor container ("STKT"). Entries are written in
     sorted name order so files are byte-stable."""

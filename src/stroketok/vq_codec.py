@@ -582,24 +582,16 @@ def train(
 
     log_rows: list[dict] = []
     reservoir: list[np.ndarray] = []
-    steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
-    cursor = 0
     recent_recon: list[float] = []
 
-    for step in range(cfg.steps):
-        if cursor == 0 and step > 0:
-            reseed_pool = (
-                np.concatenate(reservoir, axis=0) if reservoir else init_latents
-            )
-            reseed_dead_entries(codebook, store, reseed_pool, rng)
-            codebook.reset_usage()
-            reservoir = []
-            order = rng.permutation(n)
+    def new_epoch():
+        reseed_pool = np.concatenate(reservoir, axis=0) if reservoir else init_latents
+        reseed_dead_entries(codebook, store, reseed_pool, rng)
+        codebook.reset_usage()
+        reservoir.clear()
 
-        lo = cursor * cfg.batch_size
-        batch_idx = order[lo : lo + cfg.batch_size]
-        cursor = (cursor + 1) % steps_per_epoch
-
+    batches = te.minibatches(n, cfg.batch_size, rng, order, before_epoch=new_epoch)
+    for step, batch_idx in zip(range(cfg.steps), batches):
         totals = []
         terms = np.zeros(3)
         for i in batch_idx:
@@ -639,7 +631,7 @@ def train(
             }
         )
         if len(reservoir) > 64:
-            reservoir = [np.concatenate(reservoir, axis=0)[-8192:]]
+            reservoir[:] = [np.concatenate(reservoir, axis=0)[-8192:]]
 
         if cfg.target_recon is not None:
             recent_recon.append(terms[2])

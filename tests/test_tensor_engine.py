@@ -21,6 +21,7 @@ from stroketok.tensor_engine import (
     load_named_tensors,
     matmul,
     mean_all,
+    minibatches,
     mse_loss,
     mul,
     narrow,
@@ -462,3 +463,29 @@ def test_checkpoint_corrupt_name_or_shape_raises(tmp_path):
     p.write_bytes(bytes(huge))
     with pytest.raises(CorruptCheckpoint, match="truncated or corrupt"):
         load_named_tensors(str(p))
+
+
+def test_minibatches_match_the_cursor_loop():
+    """The shared iterator yields the batches, and draws from the rng in the
+    order, of the trainers' former cursor loop (a reseed-like draw at each
+    epoch start, before that epoch's permutation)."""
+    for n, batch_size, steps in ((7, 3, 10), (6, 3, 7), (1, 4, 3), (5, 5, 4)):
+        rng = np.random.default_rng(n * 10 + batch_size)
+        order = rng.permutation(n)
+        want = []
+        cursor = 0
+        per_epoch = (n + batch_size - 1) // batch_size
+        for step in range(steps):
+            if cursor == 0 and step > 0:
+                rng.integers(0, 100)
+                order = rng.permutation(n)
+            want.append(order[cursor * batch_size : (cursor + 1) * batch_size].tolist())
+            cursor = (cursor + 1) % per_epoch
+        want_state = rng.bit_generator.state
+
+        rng = np.random.default_rng(n * 10 + batch_size)
+        first = rng.permutation(n)
+        it = minibatches(n, batch_size, rng, first, before_epoch=lambda: rng.integers(0, 100))
+        got = [b.tolist() for _, b in zip(range(steps), it)]
+        assert got == want
+        assert rng.bit_generator.state == want_state
