@@ -33,7 +33,6 @@ class PipelineConfig:
     steps: int = 2000
     kernel_size: int = 4
     target_recon: float = -1.0  # negative disables early stopping
-    conventional_loss_names: bool = False
     # sequence model
     lm_embed_dim: int = 128
     lm_layers: int = 2
@@ -69,7 +68,6 @@ class PipelineConfig:
             kernel_size=self.kernel_size,
             target_recon=target,
             fixer_strategy=self.fixer,
-            conventional_loss_names=self.conventional_loss_names,
         )
 
     def lm_config(self) -> LmConfig:
@@ -93,12 +91,6 @@ _FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
 def _coerce(key: str, raw: str):
     kind = _FIELD_TYPES[key]
     raw = raw.strip()
-    if kind == "bool":
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"{key}: expected a boolean, got {raw!r}")
     if kind == "int":
         return int(raw)
     if kind == "float":

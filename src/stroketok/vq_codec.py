@@ -90,7 +90,6 @@ class CodecConfig:
     kernel_size: int = 4
     target_recon: float | None = None
     fixer_strategy: str = FIXER_PC
-    conventional_loss_names: bool = False
 
     def __post_init__(self):
         if self.compression_stages < 1:
@@ -576,10 +575,6 @@ def train(
     init_latents = _collect_init_latents(corpus, cfg, store, order)
     init_codebook_kmeans(codebook, init_latents, rng)
 
-    term_names = ("codebook", "commit")
-    if cfg.conventional_loss_names:
-        term_names = ("commit", "codebook")
-
     log_rows: list[dict] = []
     reservoir: list[np.ndarray] = []
     recent_recon: list[float] = []
@@ -625,8 +620,8 @@ def train(
             {
                 "step": step,
                 "total": value,
-                term_names[0]: terms[0],
-                term_names[1]: terms[1],
+                "codebook": terms[0],
+                "commit": terms[1],
                 "recon": terms[2],
             }
         )
@@ -775,9 +770,6 @@ def save_vq_checkpoint(
         named[f"config.{name}"] = np.array(float(getattr(cfg, name)))
     named["config.channels"] = np.array(cfg.stage_channels(), dtype=np.float64)
     named["config.fixer"] = np.array(float(_FIXER_CODES[cfg.fixer_strategy]))
-    named["config.conventional_loss_names"] = np.array(
-        float(cfg.conventional_loss_names)
-    )
     for level, usage in enumerate(codebook.usage):
         named[f"codebook.usage{level}"] = usage.astype(np.float64)
     te.save_named_tensors(path, named)
@@ -810,7 +802,6 @@ def load_vq_checkpoint(path: str) -> tuple[ParameterStore, Codebook, CodecConfig
         steps=scalar("steps"),
         kernel_size=scalar("kernel_size"),
         fixer_strategy=fixer_name(),
-        conventional_loss_names=bool(scalar("conventional_loss_names")),
     )
     store = init_codec_params(cfg, np.random.default_rng(cfg.seed))
     params = {k: v for k, v in named.items() if not k.startswith("config.")}
