@@ -3,21 +3,27 @@
 Just enough machinery to train the codec and the toy sequence model: 1-D
 convolutions and their transposes, elementwise ops, matmul, a linear layer,
 fused causal multi-head attention, softmax, layer norm, embedding lookup
-(row gather), MSE and masked cross-entropy, stop-gradient, and Adam. Every
-recorded op stores a closure that scatters the incoming gradient to its
-parents; backward() walks the graph in reverse topological order.
+(row gather), row take/place, MSE (optionally weighted) and masked
+cross-entropy, stop-gradient, Adam, and the minibatch iterator both
+trainers share. Every recorded op stores a closure that scatters the
+incoming gradient to its parents; backward() walks the graph in reverse
+topological order, and a parent that records no gradient gets none
+computed.
 
-Batch axis: the sequence-model ops take leading axes. `linear`,
-`layer_norm`, `relu` and `add` act on (..., D) rows however many leading
-axes there are, `embedding` takes ids of any shape, and `attention` takes
-(B, S, D) queries against (B, T, D) keys and values and splits D into heads
-itself. The convolutions stay single-sample (C, L).
+Rows are time-major throughout. The sequence-model ops take leading axes:
+`linear`, `layer_norm`, `relu` and `add` act on (..., D) rows however many
+leading axes there are, `embedding` takes ids of any shape, and `attention`
+takes (B, S, D) queries against (B, T, D) keys and values and splits D into
+heads itself. The convolutions take (L, C) rows; several samples run as one
+sequence with zero rows between them (the codec's `Packing`). Both are
+GEMMs over im2col windows (`_im2col`, one strided view copied once) and
+their adjoint (`_col2im`, one strided add per tap).
 
 All math is float64 and deterministic (fixed reduction order), so identical
 seeds give bit-identical parameters. The one scatter whose indices may
 repeat, `embedding`'s backward, uses np.add.at, which adds in index order.
 Every other backward writes each gradient entry from one place, by slicing
-or by assignment (conv1d adds one strided slice per tap).
+or by assignment (`_col2im` adds one strided slice per tap).
 """
 
 from __future__ import annotations
@@ -325,6 +331,30 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     return _make(out_data, (x,), bw)
 
 
+def take_rows(x: Tensor, rows: np.ndarray) -> Tensor:
+    """x[rows] along the first axis; `rows` are distinct indices."""
+    out_data = x.data[rows]
+
+    def bw(g):
+        full = np.zeros_like(x.data)
+        full[rows] = g
+        _accum(x, full)
+
+    return _make(out_data, (x,), bw)
+
+
+def place_rows(x: Tensor, rows: np.ndarray, n: int) -> Tensor:
+    """n rows of zeros with x's rows written at `rows` (distinct indices):
+    the adjoint of take_rows."""
+    out_data = np.zeros((n,) + x.data.shape[1:])
+    out_data[rows] = x.data
+
+    def bw(g):
+        _accum(x, g[rows])
+
+    return _make(out_data, (x,), bw)
+
+
 def concat(xs: list[Tensor], axis: int = 0) -> Tensor:
     out_data = np.concatenate([t.data for t in xs], axis=axis)
     sizes = [t.data.shape[axis] for t in xs]
@@ -364,6 +394,43 @@ def mean_all(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _im2col(xp: np.ndarray, k: int, stride: int, t_out: int) -> np.ndarray:
+    """(T, K*C) windows of a C-contiguous (L, C) buffer: row t holds rows
+    t*stride .. t*stride + K - 1 of xp back to back, column kk*C + c for
+    tap kk and channel c.
+
+    Those K rows are one contiguous run of K*C values, so the windows are a
+    2-D strided view, copied once. The view is only valid on a C-contiguous
+    buffer; callers pass a fresh padded copy or np.ascontiguousarray.
+    """
+    if k == 1 and stride == 1:
+        return xp
+    row = xp.shape[1] * xp.itemsize
+    win = np.lib.stride_tricks.as_strided(
+        xp, shape=(t_out, k * xp.shape[1]), strides=(stride * row, xp.itemsize)
+    )
+    return win.copy()
+
+
+def _col2im(cols: np.ndarray, k: int, stride: int, length: int) -> np.ndarray:
+    """Adjoint of `_im2col`: a (length, C) array where row t*stride + kk
+    sums column block kk of cols' row t, over every t and tap kk.
+
+    One strided add per tap, taps in reverse: each output row then sums its
+    terms in increasing t (decreasing tap), the order np.add.at over
+    (T, K) delivers them, so the result keeps the scatter's bits.
+    """
+    if k == 1 and stride == 1:
+        return cols
+    t = cols.shape[0]
+    blocks = cols.reshape(t, k, -1)
+    out = np.zeros((length, blocks.shape[2]))
+    span = stride * (t - 1) + 1
+    for kk in range(k - 1, -1, -1):
+        out[kk : kk + span : stride] += blocks[:, kk]
+    return out
+
+
 def conv1d(
     x: Tensor,
     kernel: Tensor,
@@ -371,50 +438,46 @@ def conv1d(
     stride: int = 1,
     padding: int = 0,
 ) -> Tensor:
-    """1-D cross-correlation. x: (C_in, L), kernel: (C_out, C_in, K).
+    """1-D cross-correlation over time-major rows. x: (L, C_in), kernel:
+    (C_out, C_in, K), output (T, C_out).
 
-    out[o, t] = b[o] + sum_{i,k} kernel[o, i, k] * x_padded[i, t*stride + k]
-    with output length floor((L + 2p - K) / stride) + 1.
+    out[t, o] = b[o] + sum_{i,k} kernel[o, i, k] * x_padded[t*stride + k, i]
+    with T = floor((L + 2p - K) / stride) + 1: one GEMM of the im2col
+    windows with the kernel laid out as (K*C_in, C_out).
     """
     xd, kd = x.data, kernel.data
-    if xd.ndim != 2 or kd.ndim != 3 or kd.shape[1] != xd.shape[0]:
+    if xd.ndim != 2 or kd.ndim != 3 or kd.shape[1] != xd.shape[1]:
         raise ShapeMismatch(f"conv1d x{xd.shape} kernel{kd.shape}")
     if stride < 1:
         raise ShapeMismatch("stride must be >= 1")
-    c_in, length = xd.shape
+    length, c_in = xd.shape
     c_out, _, k = kd.shape
     lp = length + 2 * padding
     if k > lp:
         raise ShapeMismatch(f"kernel {k} longer than padded input {lp}")
     t_out = (lp - k) // stride + 1
 
-    xp = np.zeros((c_in, lp))
-    xp[:, padding : padding + length] = xd
-    idx = (np.arange(t_out) * stride)[:, None] + np.arange(k)[None, :]  # (T, K)
-    cols = xp[:, idx]  # (C_in, T, K)
-    cols2 = cols.transpose(1, 0, 2).reshape(t_out, c_in * k)
-    w2 = kd.reshape(c_out, c_in * k)
-    out_data = (cols2 @ w2.T).T.copy()  # (C_out, T)
+    if padding:
+        xp = np.zeros((lp, c_in))
+        xp[padding : padding + length] = xd
+    else:
+        xp = np.ascontiguousarray(xd)
+    cols = _im2col(xp, k, stride, t_out)
+    w2 = kd.transpose(2, 1, 0).reshape(k * c_in, c_out)
+    out_data = cols @ w2
     if bias is not None:
-        out_data = out_data + bias.data[:, None]
+        out_data += bias.data
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
 
     def bw(g):
-        _accum(kernel, (g @ cols2).reshape(c_out, c_in, k))
+        if kernel.requires_grad:
+            _accum(kernel, (cols.T @ g).reshape(k, c_in, c_out).transpose(2, 1, 0))
         if bias is not None:
-            _accum(bias, g.sum(axis=1))
+            _accum(bias, g.sum(axis=0))
         if x.requires_grad:
-            g_cols = (g.T @ w2).reshape(t_out, c_in, k).transpose(1, 0, 2)
-            dxp = np.zeros_like(xp)
-            # One strided add per kernel tap, taps in reverse: input position
-            # p then sums its terms in increasing t (decreasing tap), the
-            # order np.add.at over (C_in, T, K) delivers them, so dx keeps
-            # its bits.
-            span = stride * (t_out - 1) + 1
-            for kk in range(k - 1, -1, -1):
-                dxp[:, kk : kk + span : stride] += g_cols[:, :, kk]
-            _accum(x, dxp[:, padding : padding + length])
+            dxp = _col2im(g @ w2.T, k, stride, lp)
+            _accum(x, dxp[padding : padding + length])
 
     return _make(out_data, parents, bw)
 
@@ -426,43 +489,47 @@ def conv_transpose1d(
     stride: int = 1,
     padding: int = 0,
 ) -> Tensor:
-    """Gradient-of-conv semantics. x: (C_in, L), kernel: (C_in, C_out, K).
+    """Gradient-of-conv semantics over time-major rows. x: (L, C_in),
+    kernel: (C_in, C_out, K), output (L_out, C_out).
 
-    Scatter-add: out[o, t*stride + k] += kernel[i, o, k] * x[i, t], then trim
-    `padding` from both ends; output length (L - 1) * stride - 2p + K.
+    Scatter-add: out[t*stride + k, o] += kernel[i, o, k] * x[t, i], then
+    trim `padding` rows from both ends; L_out = (L - 1) * stride - 2p + K.
+    The adjoint of conv1d: one GEMM into (L, K*C_out) columns, then
+    `_col2im`; the backward is `_im2col` of the gradient and two GEMMs.
     """
     xd, kd = x.data, kernel.data
-    if xd.ndim != 2 or kd.ndim != 3 or kd.shape[0] != xd.shape[0]:
+    if xd.ndim != 2 or kd.ndim != 3 or kd.shape[0] != xd.shape[1]:
         raise ShapeMismatch(f"conv_transpose1d x{xd.shape} kernel{kd.shape}")
     if stride < 1:
         raise ShapeMismatch("stride must be >= 1")
-    c_in, length = xd.shape
+    length, c_in = xd.shape
     _, c_out, k = kd.shape
     l_full = (length - 1) * stride + k
     l_out = l_full - 2 * padding
     if l_out < 1:
         raise ShapeMismatch(f"output length {l_out} < 1")
 
-    full = np.zeros((c_out, l_full))
-    base = stride * np.arange(length)
-    for kk in range(k):
-        full[:, base + kk] += kd[:, :, kk].T @ xd
-    out_data = full[:, padding : padding + l_out].copy()
+    w2 = kd.transpose(0, 2, 1).reshape(c_in, k * c_out)
+    full = _col2im(xd @ w2, k, stride, l_full)
+    out_data = full[padding : padding + l_out]
     if bias is not None:
-        out_data = out_data + bias.data[:, None]
+        out_data = out_data + bias.data
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
-    idx = base[:, None] + np.arange(k)[None, :]  # (L, K) positions in full
 
     def bw(g):
-        gf = np.zeros((c_out, l_full))
-        gf[:, padding : padding + l_out] = g
-        gwin = gf[:, idx]  # (C_out, L, K)
-        _accum(kernel, np.einsum("it,otk->iok", xd, gwin))
+        if padding:
+            gf = np.zeros((l_full, c_out))
+            gf[padding : padding + l_out] = g
+        else:
+            gf = np.ascontiguousarray(g)
+        gwin = _im2col(gf, k, stride, length)  # (L, K*C_out)
+        if kernel.requires_grad:
+            _accum(kernel, (xd.T @ gwin).reshape(c_in, k, c_out).transpose(0, 2, 1))
         if bias is not None:
-            _accum(bias, g.sum(axis=1))
+            _accum(bias, g.sum(axis=0))
         if x.requires_grad:
-            _accum(x, np.einsum("iok,otk->it", kd, gwin))
+            _accum(x, gwin @ w2.T)
 
     return _make(out_data, parents, bw)
 
@@ -586,18 +653,29 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _make(out_data, (x, gain, bias), bw)
 
 
-def mse_loss(a: Tensor, b: Tensor) -> Tensor:
-    """Mean of squared differences; gradients flow to both sides."""
+def mse_loss(a: Tensor, b: Tensor, weight: np.ndarray | None = None) -> Tensor:
+    """Mean of squared differences; gradients flow to both sides.
+
+    With `weight` (broadcast against a), the weighted sum
+    sum(weight * (a - b)^2) instead of the mean.
+    """
     if a.data.shape != b.data.shape:
         raise ShapeMismatch(f"mse {a.data.shape} vs {b.data.shape}")
     diff = a.data - b.data
-    n = diff.size
-    out_data = np.array((diff * diff).mean())
+    if weight is None:
+        out_data = np.array((diff * diff).mean())
+    else:
+        out_data = np.array((weight * diff * diff).sum())
 
     def bw(g):
-        scale = 2.0 * float(g) / n
-        _accum(a, scale * diff)
-        _accum(b, -scale * diff)
+        if weight is None:
+            scaled = (2.0 * float(g) / diff.size) * diff
+        else:
+            scaled = (2.0 * float(g) * weight) * diff
+        if a.requires_grad:
+            _accum(a, scaled)
+        if b.requires_grad:
+            _accum(b, -scaled)
 
     return _make(out_data, (a, b), bw)
 

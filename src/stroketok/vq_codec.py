@@ -8,6 +8,13 @@ latent timestep against per-level codebooks; token ids are level * |B| +
 entry, flattened timestep-major. The decoder mirrors the encoder with
 transposed convolutions and clamps its output to [-1, 1].
 
+Every array is time-major: a matrix is (L, 9) rows and a latent (T, Dim)
+rows. Several samples run through the convolutions as one `Packing`: their
+rows end to end with zero gap rows between them, re-zeroed after each layer
+that a wider convolution reads next. Training runs one such graph per
+minibatch (`batch_loss`); `encode` and `decode` of one matrix are the
+packing of one, which has no gap rows.
+
 Training follows the three-term objective: alpha * (codebook + commitment)
 + reconstruction, with stop-gradients placed so the codebook term updates
 the encoder and the commitment term updates the codebook entries, and a
@@ -33,7 +40,6 @@ from .tensor_engine import (
     Tensor,
     add,
     backward,
-    clip,
     conv1d,
     conv_transpose1d,
     embedding,
@@ -41,10 +47,11 @@ from .tensor_engine import (
     mul,
     no_grad,
     optimizer_step,
+    place_rows,
     relu,
     stop_gradient,
     sub,
-    transpose2d,
+    take_rows,
 )
 
 log = logging.getLogger(__name__)
@@ -216,26 +223,116 @@ def _res_block(x: Tensor, store: ParameterStore, prefix: str) -> Tensor:
 
 def pad_rows(rows: np.ndarray, stages: int) -> tuple[np.ndarray, int]:
     """Pad the command axis to a multiple of 2**stages by repeating the last
-    row; returns the transposed (9, L_padded) array and the pad length."""
+    row; returns the (L_padded, 9) rows and the pad length."""
     length = rows.shape[0]
     mult = 2**stages
     pad = (-length) % mult
     if pad:
         rows = np.concatenate([rows, np.repeat(rows[-1:], pad, axis=0)], axis=0)
-    return rows.T.copy(), pad
+    return rows, pad
+
+
+class Packing:
+    """Samples laid end to end on the time axis, so that one pass of every
+    convolution runs them all.
+
+    Sample i takes lengths[i] rows at the input (its padded length, a
+    multiple of 2**stages), and `gap` zero rows separate each pair. At level
+    l (after l stride-2 stages; level `stages` is the latent) every count is
+    divided by 2**l, and each sample still starts on a stride boundary. The
+    two ends need no gap rows: the convolutions' own zero padding is there.
+
+    The gap is a multiple of 2**stages wide enough that no convolution reads
+    across it: the latent keeps max(1, ceil(p / 2)) gap rows for kernel
+    padding p = (K - 2) / 2, which leaves at least p at every finer level
+    (the stride-2 convolutions' reach) and at least 1 at the latent (the
+    residual block's 3-tap reach). The network zeroes the gap rows with
+    `mask` after every layer whose output a k > 1 convolution reads next,
+    so each sample sees exactly the zero padding it would see alone. A
+    packing of one sample has no gap rows, so it runs the plain
+    single-sample network: `mask`, `take` and `place` return x as it is.
+    """
+
+    def __init__(self, lengths: list[int], cfg: CodecConfig):
+        self.stages = cfg.compression_stages
+        reach = (cfg.kernel_size - 2) // 2
+        self.gap = cfg.rate * max(1, (reach + 1) // 2)
+        self.lengths = np.asarray(lengths, dtype=np.int64)
+        spans = self.lengths + self.gap
+        self.starts = np.cumsum(spans) - spans
+        self.size = int(spans.sum()) - self.gap
+        self._real: dict[int, np.ndarray] = {}
+        self._mask: dict[int, Tensor] = {}
+        self.rows: np.ndarray | None = None
+        self.target: np.ndarray | None = None
+        self.pads: list[int] = []
+
+    @classmethod
+    def of(cls, matrices: list[StrokeMatrix], cfg: CodecConfig) -> Packing:
+        """The packing of scaled matrices, with their padded rows packed
+        (`rows`, the encoder's input) and concatenated (`target`)."""
+        if not all(m.scaled for m in matrices):
+            raise ValueError("encode expects scaled matrices")
+        padded = [pad_rows(m.rows, cfg.compression_stages) for m in matrices]
+        packing = cls([len(rows) for rows, _ in padded], cfg)
+        packing.target = np.concatenate([rows for rows, _ in padded], axis=0)
+        packing.rows = packing.place_array(packing.target, 0)
+        packing.pads = [pad for _, pad in padded]
+        return packing
+
+    def real(self, level: int) -> np.ndarray:
+        """Indices of the samples' rows at `level`, in sample order."""
+        if level not in self._real:
+            self._real[level] = np.concatenate(
+                [
+                    np.arange(start, start + length)
+                    for start, length in zip(self.starts >> level, self.lengths >> level)
+                ]
+            )
+        return self._real[level]
+
+    def place_array(self, rows: np.ndarray, level: int) -> np.ndarray:
+        """The samples' rows at `level` laid out with zero gap rows."""
+        if len(self.lengths) == 1:
+            return rows
+        out = np.zeros((self.size >> level,) + rows.shape[1:])
+        out[self.real(level)] = rows
+        return out
+
+    def mask(self, x: Tensor, level: int) -> Tensor:
+        """x (packed rows at `level`, C) with its gap rows zeroed, by a
+        constant 0/1 column."""
+        if len(self.lengths) == 1:
+            return x
+        if level not in self._mask:
+            self._mask[level] = Tensor(
+                self.place_array(np.ones((len(self.real(level)), 1)), level)
+            )
+        return mul(x, self._mask[level])
+
+    def take(self, x: Tensor, level: int) -> Tensor:
+        """The samples' rows of packed x at `level`, in sample order."""
+        return x if len(self.lengths) == 1 else take_rows(x, self.real(level))
+
+    def place(self, x: Tensor, level: int) -> Tensor:
+        """The samples' rows x at `level` laid out with zero gap rows."""
+        if len(self.lengths) == 1:
+            return x
+        return place_rows(x, self.real(level), self.size >> level)
 
 
 def encode(
-    m: StrokeMatrix, cfg: CodecConfig, store: ParameterStore
-) -> tuple[Tensor, int]:
-    """Scaled matrix -> latent (code_dim, T) with T = L_padded / 2**stages.
+    m: StrokeMatrix | Packing, cfg: CodecConfig, store: ParameterStore
+) -> tuple[Tensor, int | list[int]]:
+    """Scaled matrix -> latent (T, code_dim), T = L_padded / 2**stages, and
+    the recorded pad length.
 
-    Returns the latent tensor and the recorded pad length.
+    Given a Packing, encodes all its samples in one pass: the latent holds
+    each sample's T_i rows in sample order, and the pad lengths come back as
+    a list. A single matrix is the packing of one.
     """
-    if not m.scaled:
-        raise ValueError("encode expects a scaled matrix")
-    data, pad = pad_rows(m.rows, cfg.compression_stages)
-    x = Tensor(data)
+    packing = m if isinstance(m, Packing) else Packing.of([m], cfg)
+    x = Tensor(packing.rows)
     for i in range(cfg.compression_stages):
         x = conv1d(
             x,
@@ -244,14 +341,27 @@ def encode(
             stride=2,
             padding=(cfg.kernel_size - 2) // 2,
         )
+        x = packing.mask(x, i + 1)
         x = _res_block(x, store, f"enc{i}.res")
         x = conv1d(x, store[f"enc{i}.proj.w"], bias=store[f"enc{i}.proj.b"])
-    return x, pad
+        if i + 1 < cfg.compression_stages:
+            x = packing.mask(x, i + 1)
+    z = packing.take(x, cfg.compression_stages)
+    return z, packing.pads if m is packing else packing.pads[0]
 
 
-def _decode_tensor(zq: Tensor, cfg: CodecConfig, store: ParameterStore) -> Tensor:
-    x = zq
-    for j in range(cfg.compression_stages):
+def _decode_tensor(
+    zq: Tensor, cfg: CodecConfig, store: ParameterStore, packing: Packing | None = None
+) -> Tensor:
+    """Latent rows (T, code_dim) -> unclamped rows (T * 2**stages, 9).
+    `packing` says which sample each latent row belongs to; by default all
+    rows are one sample."""
+    stages = cfg.compression_stages
+    if packing is None:
+        packing = Packing([zq.data.shape[0] << stages], cfg)
+    x = packing.place(zq, stages)
+    for j in range(stages):
+        level = stages - 1 - j
         x = conv_transpose1d(
             x,
             store[f"dec{j}.up.w"],
@@ -259,9 +369,12 @@ def _decode_tensor(zq: Tensor, cfg: CodecConfig, store: ParameterStore) -> Tenso
             stride=2,
             padding=(cfg.kernel_size - 2) // 2,
         )
+        x = packing.mask(x, level)
         x = _res_block(x, store, f"dec{j}.res")
         x = conv1d(x, store[f"dec{j}.proj.w"], bias=store[f"dec{j}.proj.b"])
-    return x
+        if level > 0:
+            x = packing.mask(x, level)
+    return packing.take(x, 0)
 
 
 def decode(
@@ -271,11 +384,10 @@ def decode(
     pad: int = 0,
     original_len: int | None = None,
 ) -> StrokeMatrix:
-    """Latent (code_dim, T) -> scaled stroke matrix, clamped to [-1, 1],
-    with pad rows dropped."""
+    """Latent (T, code_dim) of one sample -> scaled stroke matrix, clamped
+    to [-1, 1], with pad rows dropped."""
     t = zq if isinstance(zq, Tensor) else Tensor(zq)
-    out = clip(_decode_tensor(t, cfg, store), -1.0, 1.0)
-    rows = out.data.T
+    rows = np.clip(_decode_tensor(t, cfg, store).data, -1.0, 1.0)
     if original_len is not None:
         rows = rows[: max(1, min(original_len, rows.shape[0]))]
     elif pad:
@@ -383,20 +495,21 @@ def quantize_residual(
     codebook: Codebook,
     update_usage: bool = False,
 ) -> tuple[Tensor, StrokeTokenSeq]:
-    """d rounds of nearest-neighbor residual coding per latent timestep.
+    """d rounds of nearest-neighbor residual coding per latent row (T, Dim).
 
-    Returns the quantized latent (differentiable w.r.t. codebook entries;
-    indices are constants) and the flat token sequence, timestep-major with
-    token id = level * |B| + entry. Ties go to the lowest entry index.
+    Returns the quantized latent (T, Dim) (differentiable w.r.t. codebook
+    entries; indices are constants) and the flat token sequence,
+    timestep-major with token id = level * |B| + entry. Ties go to the
+    lowest entry index.
     """
     if not codebook.levels:
         raise EmptyCodebook("codebook has no levels")
     zt = z if isinstance(z, Tensor) else Tensor(z)
-    residual = zt.data.T.copy()  # (T, Dim)
+    residual = zt.data.copy()
     t_len = residual.shape[0]
     size = codebook.size
     level_ids: list[np.ndarray] = []
-    acc = None
+    zq = None
     for level, book in enumerate(codebook.levels):
         if book.data.shape[0] == 0:
             raise EmptyCodebook(f"level {level} is empty")
@@ -406,8 +519,7 @@ def quantize_residual(
         if update_usage:
             codebook.usage[level] += np.bincount(idx, minlength=size)
         looked = embedding(book, idx)  # (T, Dim), grads flow to the book
-        acc = looked if acc is None else add(acc, looked)
-    zq = transpose2d(acc)
+        zq = looked if zq is None else add(zq, looked)
 
     # timestep-major: row t holds level * |B| + entry for every level
     ids = np.stack(level_ids, axis=1) + np.arange(codebook.depth) * size
@@ -425,7 +537,7 @@ def straight_through(z: Tensor, zq: Tensor) -> Tensor:
 
 
 def lookup_tokens(tokens: list[int], codebook: Codebook) -> np.ndarray:
-    """Token ids -> summed entry vectors per timestep, (Dim, T).
+    """Token ids -> summed entry vectors per timestep, (T, Dim).
 
     Total over any valid ids: each id names its own level, so sequences from
     a generator decode even with unbalanced levels. Trailing tokens that do
@@ -441,10 +553,10 @@ def lookup_tokens(tokens: list[int], codebook: Codebook) -> np.ndarray:
     frames = np.array(tokens[: t_len * depth]).reshape(t_len, depth)
     level, entry = np.divmod(frames, size)
     books = np.stack([book.data for book in codebook.levels])
-    out = np.zeros((codebook.dim, t_len))
-    # frame slot by frame slot, so each column sums its entries in token order
+    out = np.zeros((t_len, codebook.dim))
+    # frame slot by frame slot, so each row sums its entries in token order
     for k in range(depth):
-        out += books[level[:, k], entry[:, k]].T
+        out += books[level[:, k], entry[:, k]]
     return out
 
 
@@ -459,22 +571,56 @@ def codec_loss(
     z: Tensor,
     zq: Tensor,
     alpha: float,
+    packing: Packing | None = None,
 ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
     """Three-term objective with the printed stop-gradient placement.
 
     codebook term ||Z - sg[Zq]||^2 (mean) updates the encoder; commitment
     term ||sg[Z] - Zq||^2 updates the codebook entries; reconstruction is
     plain MSE. Total = alpha * (codebook + commit) + recon.
+
+    With a `packing`, the rows of m, recon, z and zq belong to its samples
+    in turn, and each term is each sample's mean, averaged over the samples.
     """
-    target = m.rows.T if isinstance(m, StrokeMatrix) else np.asarray(m)
+    target = m.rows if isinstance(m, StrokeMatrix) else np.asarray(m)
     if target.shape != recon.data.shape:
         raise te.ShapeMismatch(f"recon {recon.data.shape} vs target {target.shape}")
-    l_codebook = mse_loss(z, stop_gradient(zq))
-    l_commit = mse_loss(stop_gradient(z), zq)
-    l_recon = mse_loss(recon, Tensor(target))
+    w_latent = w_rows = None
+    if packing is not None:
+        n = len(packing.lengths)
+        latent = packing.lengths >> packing.stages
+        w_latent = np.repeat(1.0 / (n * latent * z.data.shape[1]), latent)[:, None]
+        w_rows = np.repeat(1.0 / (n * packing.lengths * 9), packing.lengths)[:, None]
+    l_codebook = mse_loss(z, stop_gradient(zq), w_latent)
+    l_commit = mse_loss(stop_gradient(z), zq, w_latent)
+    l_recon = mse_loss(recon, Tensor(target), w_rows)
     weighted = mul(add(l_codebook, l_commit), Tensor(np.array(alpha)))
     total = add(weighted, l_recon)
     return total, l_codebook, l_commit, l_recon
+
+
+def batch_loss(
+    matrices: list[StrokeMatrix],
+    cfg: CodecConfig,
+    store: ParameterStore,
+    codebook: Codebook,
+    update_usage: bool = False,
+) -> tuple[Tensor, Tensor, Tensor, Tensor, list[np.ndarray]]:
+    """One graph over a minibatch of scaled matrices: each sample's
+    `codec_loss`, averaged over the batch, from one packed pass.
+
+    Returns the total, the codebook, commitment and reconstruction terms,
+    and each sample's latent rows.
+    """
+    packing = Packing.of(matrices, cfg)
+    z, _ = encode(packing, cfg, store)
+    zq, _ = quantize_residual(z, codebook, update_usage=update_usage)
+    recon = _decode_tensor(straight_through(z, zq), cfg, store, packing)
+    total, l_cb, l_commit, l_recon = codec_loss(
+        packing.target, recon, z, zq, cfg.alpha, packing
+    )
+    latent = packing.lengths >> cfg.compression_stages
+    return total, l_cb, l_commit, l_recon, np.split(z.data, np.cumsum(latent)[:-1])
 
 
 def _kmeans(
@@ -506,19 +652,19 @@ def _collect_init_latents(
     store: ParameterStore,
     order: np.ndarray,
 ) -> np.ndarray:
-    """Latent columns for codebook init: at least the first batch, extended
+    """Latent rows for codebook init: at least the first batch, extended
     over further batches until |B| vectors exist or the corpus runs out (one
     minibatch rarely supplies enough at desk scale)."""
-    cols = []
+    taken = []
     count = 0
+    for rank, i in enumerate(order):
+        if rank >= cfg.batch_size and count >= cfg.codebook_size:
+            break
+        taken.append(corpus[int(i)])
+        count += -(-len(corpus[int(i)]) // cfg.rate)
     with no_grad():
-        for rank, i in enumerate(order):
-            if rank >= cfg.batch_size and count >= cfg.codebook_size:
-                break
-            z, _ = encode(corpus[int(i)], cfg, store)
-            cols.append(z.data.T)
-            count += z.data.shape[1]
-    return np.concatenate(cols, axis=0)
+        z, _ = encode(Packing.of(taken, cfg), cfg, store)
+    return z.data
 
 
 def init_codebook_kmeans(
@@ -558,6 +704,11 @@ def train(
 ) -> tuple[ParameterStore, Codebook, list[dict]]:
     """Minibatch training loop over scaled stroke matrices.
 
+    Each step runs one graph over its minibatch: the samples are packed
+    into one sequence (`Packing`), encoded in one pass, quantized in sample
+    order, decoded in one pass, and the loss is each sample's own loss
+    averaged over the batch.
+
     Returns the trained parameters (codebooks included), the codebook view,
     and a per-step log of the loss terms. Raises Diverged on NaN loss.
     """
@@ -587,35 +738,19 @@ def train(
 
     batches = te.minibatches(n, cfg.batch_size, rng, order, before_epoch=new_epoch)
     for step, batch_idx in zip(range(cfg.steps), batches):
-        totals = []
-        terms = np.zeros(3)
-        for i in batch_idx:
-            m = corpus[int(i)]
-            z, pad = encode(m, cfg, store)
-            zq, _ = quantize_residual(z, codebook, update_usage=True)
-            z_st = straight_through(z, zq)
-            recon_full = _decode_tensor(z_st, cfg, store)
-            target, _ = pad_rows(m.rows, cfg.compression_stages)
-            total, l_cb, l_commit, l_recon = codec_loss(
-                target, recon_full, z, zq, cfg.alpha
-            )
-            totals.append(total)
-            terms += (float(l_cb.data), float(l_commit.data), float(l_recon.data))
-            reservoir.append(z.data.T)
+        batch = [corpus[int(i)] for i in batch_idx]
+        total, l_cb, l_commit, l_recon, latents = batch_loss(
+            batch, cfg, store, codebook, update_usage=True
+        )
 
-        batch_total = totals[0]
-        for t in totals[1:]:
-            batch_total = add(batch_total, t)
-        batch_total = mul(batch_total, Tensor(np.array(1.0 / len(totals))))
-
-        value = float(batch_total.data)
+        value = float(total.data)
         if not np.isfinite(value):
             raise Diverged(f"total loss {value} at step {step}")
 
-        backward(batch_total)
+        backward(total)
         optimizer_step(store, cfg.lr)
 
-        terms /= len(batch_idx)
+        terms = (float(l_cb.data), float(l_commit.data), float(l_recon.data))
         log_rows.append(
             {
                 "step": step,
@@ -625,6 +760,8 @@ def train(
                 "recon": terms[2],
             }
         )
+        # one reservoir entry per sample, as the trimming below counts them
+        reservoir.extend(latents)
         if len(reservoir) > 64:
             reservoir[:] = [np.concatenate(reservoir, axis=0)[-8192:]]
 

@@ -65,7 +65,7 @@ def rand_param(rng, *shape) -> Tensor:
 
 
 def test_conv1d_trivial_examples():
-    x = Tensor([[1.0, 2.0, 3.0]])
+    x = Tensor([[1.0], [2.0], [3.0]])  # time-major: 3 steps, 1 channel
     k = Tensor([[[1.0, 0.0, -1.0]]])
     out = conv1d(x, k)
     np.testing.assert_allclose(out.data, [[-2.0]])
@@ -73,17 +73,17 @@ def test_conv1d_trivial_examples():
     ident = conv1d(x, Tensor([[[1.0]]]))
     np.testing.assert_allclose(ident.data, x.data)
 
-    x8 = Tensor(np.arange(8, dtype=float)[None, :])
+    x8 = Tensor(np.arange(8, dtype=float)[:, None])
     out8 = conv1d(x8, Tensor([[[1.0, 1.0]]]), stride=2)
-    assert out8.data.shape == (1, 4)
+    assert out8.data.shape == (4, 1)
 
 
 def test_conv1d_bias_and_shape_errors():
-    x = Tensor(np.ones((2, 5)))
+    x = Tensor(np.ones((5, 2)))
     k = Tensor(np.ones((3, 2, 3)))
     b = Tensor(np.array([1.0, 2.0, 3.0]))
     out = conv1d(x, k, bias=b, padding=1)
-    assert out.data.shape == (3, 5)
+    assert out.data.shape == (5, 3)
     with pytest.raises(ShapeMismatch):
         conv1d(x, Tensor(np.ones((3, 4, 3))))
     with pytest.raises(ShapeMismatch):
@@ -92,16 +92,17 @@ def test_conv1d_bias_and_shape_errors():
 
 def conv1d_dx_scatter(x, kernel, g, stride, padding):
     """The input gradient of conv1d by one np.add.at scatter of every
-    (channel, output step, tap) term."""
-    c_in, length = x.shape
+    (output step, tap, channel) term, from the op's own column GEMM."""
+    length, c_in = x.shape
     c_out, _, k = kernel.shape
-    t_out = g.shape[1]
+    t_out = g.shape[0]
     idx = (np.arange(t_out) * stride)[:, None] + np.arange(k)[None, :]
-    g_cols = (g.T @ kernel.reshape(c_out, c_in * k)).reshape(t_out, c_in, k)
-    dxp = np.zeros((c_in, length + 2 * padding))
-    channels = np.arange(c_in)[:, None, None]
-    np.add.at(dxp, (channels, idx[None]), g_cols.transpose(1, 0, 2))
-    return dxp[:, padding : padding + length]
+    w2 = kernel.transpose(2, 1, 0).reshape(k * c_in, c_out)
+    g_cols = (g @ w2.T).reshape(t_out, k, c_in)
+    dxp = np.zeros((length + 2 * padding, c_in))
+    channels = np.arange(c_in)[None, None, :]
+    np.add.at(dxp, (idx[:, :, None], channels), g_cols)
+    return dxp[padding : padding + length]
 
 
 def test_conv1d_input_grad_bit_equal_to_scatter():
@@ -110,7 +111,7 @@ def test_conv1d_input_grad_bit_equal_to_scatter():
         for padding in (0, 1, 2):
             for k in range(1, 7):
                 for length in (max(1, k - 2 * padding), 7, 16):
-                    x = rand_param(rng, 3, length)
+                    x = rand_param(rng, length, 3)
                     kern = rand_param(rng, 4, 3, k)
                     out = conv1d(x, kern, stride=stride, padding=padding)
                     g = rng.standard_normal(out.data.shape)
@@ -120,27 +121,27 @@ def test_conv1d_input_grad_bit_equal_to_scatter():
 
 
 def test_conv_transpose_scatter_example():
-    x = Tensor([[1.0, 0.0]])
+    x = Tensor([[1.0], [0.0]])
     k = Tensor([[[1.0, 1.0]]])
     out = conv_transpose1d(x, k, stride=2)
-    np.testing.assert_allclose(out.data, [[1.0, 1.0, 0.0, 0.0]])
+    np.testing.assert_allclose(out.data, [[1.0], [1.0], [0.0], [0.0]])
 
 
 def test_conv_length_round_trip():
-    x = Tensor(np.random.default_rng(0).standard_normal((3, 16)))
+    x = Tensor(np.random.default_rng(0).standard_normal((16, 3)))
     k_down = Tensor(np.random.default_rng(1).standard_normal((5, 3, 4)))
     k_up = Tensor(np.random.default_rng(2).standard_normal((5, 3, 4)))
     down = conv1d(x, k_down, stride=2, padding=1)
-    assert down.data.shape == (5, 8)
+    assert down.data.shape == (8, 5)
     up = conv_transpose1d(down, k_up, stride=2, padding=1)
-    assert up.data.shape == (3, 16)
+    assert up.data.shape == (16, 3)
 
 
 def test_conv_adjoint_identity():
     # lengths chosen so stride divides the padded span exactly
     rng = np.random.default_rng(7)
     for stride, pad, k, length in ((1, 0, 3, 20), (2, 1, 4, 20), (3, 2, 5, 19)):
-        x = Tensor(rng.standard_normal((4, length)), requires_grad=True)
+        x = Tensor(rng.standard_normal((length, 4)), requires_grad=True)
         kern = Tensor(rng.standard_normal((6, 4, k)))
         y_shape = conv1d(x, kern, stride=stride, padding=pad).data.shape
         y = Tensor(rng.standard_normal(y_shape))
@@ -169,12 +170,12 @@ def test_stop_gradient():
 def test_gradcheck_all_primitives():
     rng = np.random.default_rng(42)
 
-    x = rand_param(rng, 3, 12)
+    x = rand_param(rng, 12, 3)
     k = rand_param(rng, 4, 3, 3)
     b = rand_param(rng, 4)
     fd_check(lambda: mean_all(conv1d(x, k, bias=b, stride=2, padding=1)), [x, k, b])
 
-    xt = rand_param(rng, 4, 6)
+    xt = rand_param(rng, 6, 4)
     kt = rand_param(rng, 4, 3, 4)
     bt = rand_param(rng, 3)
     fd_check(
@@ -308,11 +309,11 @@ def test_batched_ops_shape_errors():
 def test_gradcheck_composed_network_many_seeds():
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        x = Tensor(rng.standard_normal((2, 8)))
+        x = Tensor(rng.standard_normal((8, 2)))
         k1 = rand_param(rng, 3, 2, 4)
         b1 = rand_param(rng, 3)
         k2 = rand_param(rng, 3, 2, 4)  # transpose kernel (C_in, C_out, K)
-        target = rng.standard_normal((3, 8))
+        target = rng.standard_normal((8, 3))
 
         def loss_fn():
             h = conv1d(x, k1, bias=b1, stride=2, padding=1)
@@ -393,8 +394,8 @@ def test_training_determinism():
         store = ParameterStore()
         k = store.add("k", rng.standard_normal((2, 1, 3)))
         b = store.add("b", np.zeros(2))
-        x = Tensor(rng.standard_normal((1, 10)))
-        target = Tensor(rng.standard_normal((2, 10)))
+        x = Tensor(rng.standard_normal((10, 1)))
+        target = Tensor(rng.standard_normal((10, 2)))
         for _ in range(25):
             loss = mse_loss(conv1d(x, k, bias=b, padding=1), target)
             backward(loss)
@@ -489,3 +490,98 @@ def test_minibatches_match_the_cursor_loop():
         got = [b.tolist() for _, b in zip(range(steps), it)]
         assert got == want
         assert rng.bit_generator.state == want_state
+
+
+# ---------------------------------------------------------------------------
+# Time-major convolutions against the former channel-major (C, L) kernels
+# ---------------------------------------------------------------------------
+
+
+def conv1d_channel_major(x, kernel, bias, stride, padding, g):
+    """The former (C_in, L) conv1d: its output (C_out, T) and, for the
+    upstream gradient g (C_out, T), the gradients of x, kernel and bias."""
+    c_in, length = x.shape
+    c_out, _, k = kernel.shape
+    lp = length + 2 * padding
+    t_out = (lp - k) // stride + 1
+    xp = np.zeros((c_in, lp))
+    xp[:, padding : padding + length] = x
+    idx = (np.arange(t_out) * stride)[:, None] + np.arange(k)[None, :]
+    cols2 = xp[:, idx].transpose(1, 0, 2).reshape(t_out, c_in * k)
+    w2 = kernel.reshape(c_out, c_in * k)
+    out = (cols2 @ w2.T).T + bias[:, None]
+    dk = (g @ cols2).reshape(c_out, c_in, k)
+    g_cols = (g.T @ w2).reshape(t_out, c_in, k).transpose(1, 0, 2)
+    dxp = np.zeros_like(xp)
+    np.add.at(dxp, (np.arange(c_in)[:, None, None], idx[None]), g_cols)
+    return out, dxp[:, padding : padding + length], dk, g.sum(axis=1)
+
+
+def conv_transpose1d_channel_major(x, kernel, bias, stride, padding, g):
+    """The former (C_in, L) conv_transpose1d, forward and gradients, as
+    conv1d_channel_major."""
+    c_in, length = x.shape
+    _, c_out, k = kernel.shape
+    l_full = (length - 1) * stride + k
+    l_out = l_full - 2 * padding
+    full = np.zeros((c_out, l_full))
+    base = stride * np.arange(length)
+    for kk in range(k):
+        full[:, base + kk] += kernel[:, :, kk].T @ x
+    out = full[:, padding : padding + l_out] + bias[:, None]
+    gf = np.zeros((c_out, l_full))
+    gf[:, padding : padding + l_out] = g
+    gwin = gf[:, base[:, None] + np.arange(k)[None, :]]
+    dk = np.einsum("it,otk->iok", x, gwin)
+    dx = np.einsum("iok,otk->it", kernel, gwin)
+    return out, dx, dk, g.sum(axis=1)
+
+
+def time_major_inputs(rng, length, channels):
+    """The same (L, C) values as a C-contiguous array, a transposed view of
+    a (C, L) array and a row-strided view: the kernels must not depend on
+    the input's memory layout."""
+    base = rng.standard_normal((length, channels))
+    wide = np.zeros((2 * length, channels))
+    wide[::2] = base
+    return base, [base, np.ascontiguousarray(base.T).T, wide[::2]]
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_conv_kernels_match_channel_major_oracle(transposed):
+    rng = np.random.default_rng(81 + transposed)
+    op = conv_transpose1d if transposed else conv1d
+    oracle = conv_transpose1d_channel_major if transposed else conv1d_channel_major
+    worst = 0.0
+    for stride in (1, 2, 3):
+        for padding in (0, 1, 2):
+            for k in range(1, 7):
+                for length in (1, 2, 5, 9):
+                    if transposed:
+                        if (length - 1) * stride + k - 2 * padding < 1:
+                            continue
+                        c_in, c_out = 4, 3
+                        kernel = rng.standard_normal((c_in, c_out, k))
+                    else:
+                        if k > length + 2 * padding:
+                            continue
+                        c_in, c_out = 3, 4
+                        kernel = rng.standard_normal((c_out, c_in, k))
+                    bias = rng.standard_normal(c_out)
+                    values, layouts = time_major_inputs(rng, length, c_in)
+                    out_len = None
+                    for xd in layouts:
+                        x = Tensor(xd, requires_grad=True)
+                        kt = Tensor(kernel.copy(), requires_grad=True)
+                        bt = Tensor(bias.copy(), requires_grad=True)
+                        out = op(x, kt, bias=bt, stride=stride, padding=padding)
+                        if out_len is None:
+                            out_len = out.data.shape[0]
+                            g = rng.standard_normal((out_len, c_out))
+                            want = oracle(values.T, kernel, bias, stride, padding, g.T)
+                        backward(sum_all(mul(out, Tensor(g))))
+                        got = (out.data.T, x.grad.T, kt.grad, bt.grad)
+                        for a, b in zip(got, want):
+                            assert a.shape == b.shape
+                            worst = max(worst, float(np.abs(a - b).max()))
+    assert worst <= 1e-12

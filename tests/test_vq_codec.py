@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from stroketok.matrix_codec import TO_UNIT, scale, to_matrix
+from stroketok import tensor_engine as te
+from stroketok.matrix_codec import TO_UNIT, StrokeMatrix, scale, to_matrix
 from stroketok.svg_io import gen_synthetic
 from stroketok.tensor_engine import (
     ParameterStore,
@@ -16,6 +17,7 @@ from stroketok.tensor_engine import (
 )
 from stroketok.vq_codec import (
     BadTokenId,
+    batch_loss,
     CodecConfig,
     Codebook,
     Diverged,
@@ -31,6 +33,7 @@ from stroketok.vq_codec import (
     load_vq_checkpoint,
     lookup_tokens,
     make_codebook,
+    pad_rows,
     quantize_residual,
     save_tokens,
     save_vq_checkpoint,
@@ -99,15 +102,15 @@ def test_config_rejects_empty_batches():
 def test_quantize_hand_example():
     # two levels of two entries each; worked by hand
     book = book_from_arrays([[(0.0, 0.0), (1.0, 1.0)], [(0.0, 0.0), (0.2, 0.0)]])
-    z = np.array([[1.2], [1.0]])  # one timestep, Dim=2
+    z = np.array([[1.2, 1.0]])  # one timestep, Dim=2
     zq, seq = quantize_residual(z, book)
     assert seq.tokens == [1, 2 + 1]
-    np.testing.assert_allclose(zq.data[:, 0], [1.2, 1.0], atol=1e-15)
+    np.testing.assert_allclose(zq.data[0], [1.2, 1.0], atol=1e-15)
 
 
 def test_quantize_exact_match_zero_error():
     book = book_from_arrays([[(0.5, -0.25), (2.0, 2.0)], [(0.0, 0.0), (1.0, 0.0)]])
-    z = np.array([[0.5], [-0.25]])
+    z = np.array([[0.5, -0.25]])
     zq, seq = quantize_residual(z, book)
     assert seq.tokens == [0, 2]
     np.testing.assert_array_equal(zq.data, z)
@@ -115,20 +118,20 @@ def test_quantize_exact_match_zero_error():
 
 def test_depth_one_is_plain_vq():
     book = book_from_arrays([[(0.0, 0.0), (1.0, 1.0), (3.0, 3.0)]])
-    z = np.array([[0.9, 2.6], [1.1, 2.4]])
+    z = np.array([[0.9, 1.1], [2.6, 2.4]])
     zq, seq = quantize_residual(z, book)
     assert seq.tokens == [1, 2]
-    np.testing.assert_allclose(zq.data, [[1.0, 3.0], [1.0, 3.0]])
+    np.testing.assert_allclose(zq.data, [[1.0, 1.0], [3.0, 3.0]])
 
 
 def test_tie_goes_to_lowest_index():
     book = book_from_arrays([[(1.0, 0.0), (1.0, 0.0), (0.0, 0.0)]])
-    z = np.array([[1.0], [0.0]])
+    z = np.array([[1.0, 0.0]])
     _, seq = quantize_residual(z, book)
     assert seq.tokens == [0]
     # equidistant between entries 0 and 2
     book2 = book_from_arrays([[(1.0, 0.0), (5.0, 5.0), (-1.0, 0.0)]])
-    _, seq2 = quantize_residual(np.array([[0.0], [0.0]]), book2)
+    _, seq2 = quantize_residual(np.array([[0.0, 0.0]]), book2)
     assert seq2.tokens == [0]
 
 
@@ -143,13 +146,13 @@ def test_quantize_matches_bruteforce_oracle():
             for lv in levels:
                 lv[size // 2] = lv[0]
         t_len = int(rng.integers(1, 5))
-        z = rng.normal(size=(dim, t_len))
+        z = rng.normal(size=(dim, t_len)).T
         book = book_from_arrays(levels)
         zq, seq = quantize_residual(z, book)
         for t in range(t_len):
-            tokens, total = brute_force_rvq(z[:, t], levels)
+            tokens, total = brute_force_rvq(z[t], levels)
             assert seq.tokens[t * depth : (t + 1) * depth] == tokens
-            np.testing.assert_allclose(zq.data[:, t], total, atol=1e-12)
+            np.testing.assert_allclose(zq.data[t], total, atol=1e-12)
 
 
 def test_residual_monotone_with_zero_entry():
@@ -174,14 +177,14 @@ def test_residual_monotone_with_zero_entry():
 
 def test_quantize_usage_counts():
     book = book_from_arrays([[(0.0, 0.0), (1.0, 1.0)]])
-    z = np.array([[1.0, 0.9, 0.0], [1.0, 1.1, 0.1]])
+    z = np.array([[1.0, 1.0], [0.9, 1.1], [0.0, 0.1]])
     quantize_residual(z, book, update_usage=True)
     assert book.usage[0].tolist() == [1, 2]
 
 
 def test_empty_codebook():
     with pytest.raises(EmptyCodebook):
-        quantize_residual(np.zeros((2, 1)), Codebook(levels=[], usage=[]))
+        quantize_residual(np.zeros((1, 2)), Codebook(levels=[], usage=[]))
 
 
 def test_encode_shapes_and_padding():
@@ -189,17 +192,17 @@ def test_encode_shapes_and_padding():
     store = init_codec_params(cfg, np.random.default_rng(0))
     rows = np.zeros((8, 9))
     z, pad = encode(__import__("stroketok.matrix_codec", fromlist=["StrokeMatrix"]).StrokeMatrix(rows, scaled=True), cfg, store)
-    assert z.data.shape == (cfg.code_dim, 4) and pad == 0
+    assert z.data.shape == (4, cfg.code_dim) and pad == 0
 
     cfg2 = small_cfg(compression_stages=2, channels=(12, 12))
     store2 = init_codec_params(cfg2, np.random.default_rng(0))
     from stroketok.matrix_codec import StrokeMatrix
 
     z2, pad2 = encode(StrokeMatrix(np.zeros((8, 9)), scaled=True), cfg2, store2)
-    assert z2.data.shape == (cfg2.code_dim, 2) and pad2 == 0
+    assert z2.data.shape == (2, cfg2.code_dim) and pad2 == 0
 
     z3, pad3 = encode(StrokeMatrix(np.zeros((7, 9)), scaled=True), cfg2, store2)
-    assert z3.data.shape == (cfg2.code_dim, 2) and pad3 == 1
+    assert z3.data.shape == (2, cfg2.code_dim) and pad3 == 1
 
 
 def test_decode_shape_and_clamp():
@@ -209,7 +212,7 @@ def test_decode_shape_and_clamp():
     store = init_codec_params(cfg, np.random.default_rng(1))
     # blow up decoder weights so raw outputs exceed [-1, 1]
     store["dec0.proj.w"].data *= 1000.0
-    zq = np.random.default_rng(2).normal(size=(cfg.code_dim, 4))
+    zq = np.random.default_rng(2).normal(size=(4, cfg.code_dim))
     m = decode(zq, cfg, store)
     assert m.rows.shape == (8, 9)
     assert m.scaled
@@ -220,26 +223,26 @@ def test_decode_shape_and_clamp():
 
 
 def test_loss_zero_and_alpha_off():
-    z = Tensor(np.array([[1.0], [0.0]]), requires_grad=True)
+    z = Tensor(np.array([[1.0, 0.0]]), requires_grad=True)
     zq = Tensor(z.data.copy())
-    recon = Tensor(np.zeros((9, 4)), requires_grad=True)
-    target = np.zeros((9, 4))
+    recon = Tensor(np.zeros((4, 9)), requires_grad=True)
+    target = np.zeros((4, 9))
     total, l_cb, l_cm, l_rc = codec_loss(target, recon, z, zq, alpha=1.0)
     assert float(total.data) == 0.0
 
     rng = np.random.default_rng(0)
-    recon2 = Tensor(rng.normal(size=(9, 4)), requires_grad=True)
-    zq2 = Tensor(rng.normal(size=(2, 1)))
+    recon2 = Tensor(rng.normal(size=(4, 9)), requires_grad=True)
+    zq2 = Tensor(rng.normal(size=(1, 2)))
     total2, _, _, l_rc2 = codec_loss(target, recon2, z, zq2, alpha=0.0)
     assert float(total2.data) == pytest.approx(float(l_rc2.data))
 
 
 def test_loss_hand_arithmetic():
     # Z=(1,0), Zq=(0,0), matrices equal, alpha=1 -> each VQ term is 0.5
-    z = Tensor(np.array([[1.0], [0.0]]), requires_grad=True)
-    zq = Tensor(np.zeros((2, 1)))
-    recon = Tensor(np.zeros((9, 2)))
-    total, l_cb, l_cm, l_rc = codec_loss(np.zeros((9, 2)), recon, z, zq, alpha=1.0)
+    z = Tensor(np.array([[1.0, 0.0]]), requires_grad=True)
+    zq = Tensor(np.zeros((1, 2)))
+    recon = Tensor(np.zeros((2, 9)))
+    total, l_cb, l_cm, l_rc = codec_loss(np.zeros((2, 9)), recon, z, zq, alpha=1.0)
     assert float(l_cb.data) == pytest.approx(0.5)
     assert float(l_cm.data) == pytest.approx(0.5)
     assert float(l_rc.data) == 0.0
@@ -260,7 +263,7 @@ def test_gradient_routing_as_printed():
     z, _ = encode(m, cfg, store)
     zq, _ = quantize_residual(z, codebook)
     _, l_cb, l_cm, _ = codec_loss(
-        np.zeros((9, 2)), Tensor(np.zeros((9, 2)), requires_grad=True), z, zq, 1.0
+        np.zeros((2, 9)), Tensor(np.zeros((2, 9)), requires_grad=True), z, zq, 1.0
     )
 
     backward(l_cm)
@@ -273,7 +276,7 @@ def test_gradient_routing_as_printed():
     z2, _ = encode(m, cfg, store)
     zq2, _ = quantize_residual(z2, codebook)
     _, l_cb2, _, _ = codec_loss(
-        np.zeros((9, 2)), Tensor(np.zeros((9, 2)), requires_grad=True), z2, zq2, 1.0
+        np.zeros((2, 9)), Tensor(np.zeros((2, 9)), requires_grad=True), z2, zq2, 1.0
     )
     backward(l_cb2)
     for lv in codebook.levels:
@@ -297,9 +300,8 @@ def test_straight_through_matches_identity_graph():
 
     target, _ = pad_rows(m.rows, cfg.compression_stages)
 
-    # level 0 holds every latent column exactly; level 1 holds only zeros
-    cols = z_plain.data.T
-    book = book_from_arrays([cols, np.zeros((2, cfg.code_dim))])
+    # level 0 holds every latent row exactly; level 1 holds only zeros
+    book = book_from_arrays([z_plain.data, np.zeros((2, cfg.code_dim))])
 
     z, _ = encode(m, cfg, store)
     zq, _ = quantize_residual(z, book)
@@ -399,7 +401,7 @@ def test_tokenize_detokenize_contracts():
 def test_lookup_tokens_total_on_any_valid_ids():
     book = book_from_arrays([[(1.0, 0.0), (0.0, 1.0)], [(5.0, 5.0), (7.0, 7.0)]])
     out = lookup_tokens([0, 0], book)  # two level-0 ids in one frame
-    np.testing.assert_allclose(out[:, 0], [2.0, 0.0])
+    np.testing.assert_allclose(out[0], [2.0, 0.0])
     with pytest.raises(BadTokenId):
         lookup_tokens([4], book)
 
@@ -675,12 +677,12 @@ def test_quantize_usage_tokens_and_lookup_match_scalar_loops():
         depth = int(rng.integers(1, 4))
         levels = [rng.normal(size=(size, dim)) for _ in range(depth)]
         t_len = int(rng.integers(1, 30))
-        z = rng.normal(size=(dim, t_len))
+        z = rng.normal(size=(dim, t_len)).T
         book = book_from_arrays(levels)
         book.usage[0][:] = 3  # counts accumulate onto what is there
         _, seq = quantize_residual(z, book, update_usage=True)
 
-        residual = z.T.copy()
+        residual = z.copy()
         level_ids = []
         usage = [np.zeros(size, dtype=np.int64) for _ in levels]
         usage[0][:] = 3
@@ -700,10 +702,205 @@ def test_quantize_usage_tokens_and_lookup_match_scalar_loops():
 
         # any valid ids, levels in any slot, plus a partial trailing frame
         ids = rng.integers(0, depth * size, size=t_len * depth + depth - 1).tolist()
-        out = np.zeros((dim, t_len))
+        out = np.zeros((t_len, dim))
         for t in range(t_len):
             for k in range(depth):
                 level, entry = divmod(ids[t * depth + k], size)
-                out[:, t] += levels[level][entry]
+                out[t] += levels[level][entry]
         got = lookup_tokens(ids, book)
         assert got.flags.c_contiguous and got.tobytes() == out.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The packed training step against the former per-sample, channel-major one
+# ---------------------------------------------------------------------------
+
+
+def cm_conv1d(x, kernel, bias, stride=1, padding=0):
+    """The former channel-major conv1d op: x (C_in, L) -> (C_out, T)."""
+    xd, kd = x.data, kernel.data
+    c_in, length = xd.shape
+    c_out, _, k = kd.shape
+    lp = length + 2 * padding
+    t_out = (lp - k) // stride + 1
+    xp = np.zeros((c_in, lp))
+    xp[:, padding : padding + length] = xd
+    idx = (np.arange(t_out) * stride)[:, None] + np.arange(k)[None, :]
+    cols2 = xp[:, idx].transpose(1, 0, 2).reshape(t_out, c_in * k)
+    w2 = kd.reshape(c_out, c_in * k)
+    out = (cols2 @ w2.T).T + bias.data[:, None]
+
+    def bw(g):
+        te._accum(kernel, (g @ cols2).reshape(c_out, c_in, k))
+        te._accum(bias, g.sum(axis=1))
+        if x.requires_grad:
+            g_cols = (g.T @ w2).reshape(t_out, c_in, k).transpose(1, 0, 2)
+            dxp = np.zeros_like(xp)
+            np.add.at(dxp, (np.arange(c_in)[:, None, None], idx[None]), g_cols)
+            te._accum(x, dxp[:, padding : padding + length])
+
+    return te._make(out, (x, kernel, bias), bw)
+
+
+def cm_conv_transpose1d(x, kernel, bias, stride=1, padding=0):
+    """The former channel-major conv_transpose1d op: x (C_in, L) ->
+    (C_out, L_out)."""
+    xd, kd = x.data, kernel.data
+    c_in, length = xd.shape
+    _, c_out, k = kd.shape
+    l_full = (length - 1) * stride + k
+    l_out = l_full - 2 * padding
+    full = np.zeros((c_out, l_full))
+    base = stride * np.arange(length)
+    for kk in range(k):
+        full[:, base + kk] += kd[:, :, kk].T @ xd
+    out = full[:, padding : padding + l_out] + bias.data[:, None]
+    idx = base[:, None] + np.arange(k)[None, :]
+
+    def bw(g):
+        gf = np.zeros((c_out, l_full))
+        gf[:, padding : padding + l_out] = g
+        gwin = gf[:, idx]
+        te._accum(kernel, np.einsum("it,otk->iok", xd, gwin))
+        te._accum(bias, g.sum(axis=1))
+        te._accum(x, np.einsum("iok,otk->it", kd, gwin))
+
+    return te._make(out, (x, kernel, bias), bw)
+
+
+def per_sample_step(matrices, cfg, store, codebook):
+    """The former training step: one channel-major graph per sample, each
+    sample's three-term loss summed over the batch and scaled by 1/B.
+    Returns the loss, each sample's level indices and its latent (T, D)."""
+    from stroketok.tensor_engine import (
+        add,
+        embedding,
+        mse_loss,
+        mul,
+        relu,
+        stop_gradient,
+        sub,
+        transpose2d,
+    )
+
+    p = (cfg.kernel_size - 2) // 2
+
+    def res(x, prefix):
+        h = relu(x)
+        h = cm_conv1d(h, store[f"{prefix}.w1"], store[f"{prefix}.b1"], padding=1)
+        h = relu(h)
+        h = cm_conv1d(h, store[f"{prefix}.w2"], store[f"{prefix}.b2"])
+        return add(x, h)
+
+    totals, ids, latents = [], [], []
+    for m in matrices:
+        rows, _ = pad_rows(m.rows, cfg.compression_stages)
+        x = Tensor(rows.T.copy())
+        for i in range(cfg.compression_stages):
+            x = cm_conv1d(x, store[f"enc{i}.down.w"], store[f"enc{i}.down.b"], 2, p)
+            x = res(x, f"enc{i}.res")
+            x = cm_conv1d(x, store[f"enc{i}.proj.w"], store[f"enc{i}.proj.b"])
+        z = x
+        residual = z.data.T.copy()
+        acc, levels = None, []
+        for book in codebook.levels:
+            idx = np.argmin(_sq_distances(residual, book.data), axis=1)
+            levels.append(idx)
+            residual -= book.data[idx]
+            looked = embedding(book, idx)
+            acc = looked if acc is None else add(acc, looked)
+        zq = transpose2d(acc)
+        x = add(z, stop_gradient(sub(zq, z)))
+        for j in range(cfg.compression_stages):
+            x = cm_conv_transpose1d(x, store[f"dec{j}.up.w"], store[f"dec{j}.up.b"], 2, p)
+            x = res(x, f"dec{j}.res")
+            x = cm_conv1d(x, store[f"dec{j}.proj.w"], store[f"dec{j}.proj.b"])
+        l_cb = mse_loss(z, stop_gradient(zq))
+        l_cm = mse_loss(stop_gradient(z), zq)
+        l_rc = mse_loss(x, Tensor(rows.T.copy()))
+        totals.append(add(mul(add(l_cb, l_cm), Tensor(np.array(cfg.alpha))), l_rc))
+        ids.append(levels)
+        latents.append(z.data.T)
+    total = totals[0]
+    for t in totals[1:]:
+        total = add(total, t)
+    return mul(total, Tensor(np.array(1.0 / len(totals)))), ids, latents
+
+
+def trainable_grads(loss, store):
+    backward(loss)
+    out = {
+        name: np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+        for name, t in store.trainable()
+    }
+    store.zero_grads()
+    return out
+
+
+def random_codec(cfg, seed):
+    """Codec parameters with random biases and codebooks, so that gap rows
+    would carry non-zero values wherever a mask is missing."""
+    rng = np.random.default_rng(seed)
+    store = init_codec_params(cfg, rng)
+    for name in store.names():
+        t = store[name]
+        if name.startswith("codebook") or name.endswith((".b", ".b1", ".b2")):
+            t.data = rng.normal(0.0, 0.5, size=t.data.shape)
+        elif name.startswith("dec") and name.endswith("proj.w"):
+            t.data = rng.normal(0.0, 0.3, size=t.data.shape)
+    return store, make_codebook(cfg, store)
+
+
+def random_matrices(rng, count, stages):
+    """Scaled matrices whose lengths mostly need padding to 2**stages."""
+    lengths = rng.integers(1, 3 * 2**stages + 2, size=count)
+    return [
+        StrokeMatrix(rng.uniform(-1.0, 1.0, size=(int(n), 9)), scaled=True)
+        for n in lengths
+    ]
+
+
+@pytest.mark.parametrize("stages", [1, 2, 3])
+@pytest.mark.parametrize("kernel_size", [2, 4, 6, 8])
+def test_packed_step_matches_per_sample_step(stages, kernel_size):
+    """Loss, every trainable gradient, usage counts and latents of the
+    packed step equal the per-sample channel-major step's within 1e-12,
+    over batches of 1 and 5, rvq depths 1-3 and alpha 0 and 1."""
+    rng = np.random.default_rng(100 * stages + kernel_size)
+    for case, batch in enumerate((1, 5, 5)):
+        cfg = CodecConfig(
+            compression_stages=stages,
+            rvq_depth=1 + (stages + case) % 3,
+            codebook_size=6,
+            code_dim=3,
+            channels=(5, 4, 6)[:stages],
+            kernel_size=kernel_size,
+            alpha=float((stages + kernel_size // 2 + case) % 2),
+        )
+        store, codebook = random_codec(cfg, 7 * stages + case)
+        matrices = random_matrices(rng, batch, stages)
+
+        want_total, want_ids, want_latents = per_sample_step(
+            matrices, cfg, store, codebook
+        )
+        want = trainable_grads(want_total, store)
+        want_usage = [np.zeros(cfg.codebook_size, dtype=np.int64) for _ in codebook.levels]
+        for levels in want_ids:
+            for usage, idx in zip(want_usage, levels):
+                usage += np.bincount(idx, minlength=cfg.codebook_size)
+
+        total, _, _, _, latents = batch_loss(
+            matrices, cfg, store, codebook, update_usage=True
+        )
+        got = trainable_grads(total, store)
+
+        assert abs(float(total.data) - float(want_total.data)) <= 1e-12
+        assert got.keys() == want.keys()
+        for name in want:
+            assert np.abs(got[name] - want[name]).max() <= 1e-12, name
+        for usage, want_u in zip(codebook.usage, want_usage):
+            assert np.array_equal(usage, want_u)
+        assert len(latents) == batch
+        for z, want_z in zip(latents, want_latents):
+            assert z.shape == want_z.shape
+            assert np.abs(z - want_z).max() <= 1e-12
