@@ -166,6 +166,12 @@ def cmd_train_vq(ns) -> int:
         f"trained {len(matrices)} matrices for {len(logs)} steps; "
         f"final recon {final.get('recon', float('nan')):.6g}; wrote {ns.out}"
     )
+    for level, usage in enumerate(codebook.usage):
+        print(
+            f"codebook level {level}: {np.count_nonzero(usage)} of {len(usage)} "
+            "entries used in the last epoch"
+        )
+    print(f"reseeded {codebook.reseeded} dead entries in all")
     return 0
 
 

@@ -128,10 +128,12 @@ class CodecConfig:
 @dataclass
 class Codebook:
     """Per-level entry tables (references into the parameter store) plus
-    usage counters for dead-entry reseeding."""
+    usage counters for dead-entry reseeding, and the number of entries
+    reseeded so far."""
 
     levels: list[Tensor]
     usage: list[np.ndarray]
+    reseeded: int = 0
 
     @property
     def depth(self) -> int:
@@ -732,7 +734,7 @@ def train(
 
     def new_epoch():
         reseed_pool = np.concatenate(reservoir, axis=0) if reservoir else init_latents
-        reseed_dead_entries(codebook, store, reseed_pool, rng)
+        codebook.reseeded += reseed_dead_entries(codebook, store, reseed_pool, rng)
         codebook.reset_usage()
         reservoir.clear()
 

@@ -44,6 +44,37 @@ def pipeline(tmp_path_factory):
     return d
 
 
+def test_train_vq_reports_codebook_health(pipeline, capsys, monkeypatch):
+    """train-vq prints each level's entries used in the last epoch (the
+    usage counts its checkpoint stores) and the reseeded entries, summed
+    over every reseed_dead_entries call of the run."""
+    from stroketok import vq_codec
+
+    d = pipeline
+    reseeded = []
+    real = vq_codec.reseed_dead_entries
+
+    def counting(*args):
+        reseeded.append(real(*args))
+        return reseeded[-1]
+
+    monkeypatch.setattr(vq_codec, "reseed_dead_entries", counting)
+    capsys.readouterr()
+    assert cli.main([
+        "train-vq", "--corpus", str(d / "corpus"), "--config", str(d / "tiny.cfg"),
+        "--out", str(d / "vq_health.ckpt"),
+    ]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    _, codebook, _ = vq_codec.load_vq_checkpoint(str(d / "vq_health.ckpt"))
+    assert len(codebook.usage) == 2 and len(reseeded) == 2
+    assert lines[1:] == [
+        f"codebook level {level}: {np.count_nonzero(usage)} of 16 entries used "
+        "in the last epoch"
+        for level, usage in enumerate(codebook.usage)
+    ] + [f"reseeded {sum(reseeded)} dead entries in all"]
+    assert sum(reseeded) > 0
+
+
 def test_generate_reports_raw_length_and_cap(pipeline, capsys):
     d = pipeline
     store, vocab, cfg = load_lm_checkpoint(str(d / "lm.ckpt"))
