@@ -40,6 +40,7 @@ from .tensor_engine import (
     Tensor,
     add,
     backward,
+    clip,
     conv1d,
     conv_transpose1d,
     embedding,
@@ -346,6 +347,7 @@ def encode(
         x = packing.mask(x, i + 1)
         x = _res_block(x, store, f"enc{i}.res")
         x = conv1d(x, store[f"enc{i}.proj.w"], bias=store[f"enc{i}.proj.b"])
+        # the last projection is read only through `take`, which skips gaps
         if i + 1 < cfg.compression_stages:
             x = packing.mask(x, i + 1)
     z = packing.take(x, cfg.compression_stages)
@@ -361,7 +363,7 @@ def _decode_tensor(
     stages = cfg.compression_stages
     if packing is None:
         packing = Packing([zq.data.shape[0] << stages], cfg)
-    x = packing.place(zq, stages)
+    x = packing.place(zq, stages)  # gap rows start at zero
     for j in range(stages):
         level = stages - 1 - j
         x = conv_transpose1d(
@@ -374,7 +376,7 @@ def _decode_tensor(
         x = packing.mask(x, level)
         x = _res_block(x, store, f"dec{j}.res")
         x = conv1d(x, store[f"dec{j}.proj.w"], bias=store[f"dec{j}.proj.b"])
-        if level > 0:
+        if level > 0:  # level 0 is read only through `take`
             x = packing.mask(x, level)
     return packing.take(x, 0)
 
@@ -389,7 +391,7 @@ def decode(
     """Latent (T, code_dim) of one sample -> scaled stroke matrix, clamped
     to [-1, 1], with pad rows dropped."""
     t = zq if isinstance(zq, Tensor) else Tensor(zq)
-    rows = np.clip(_decode_tensor(t, cfg, store).data, -1.0, 1.0)
+    rows = clip(_decode_tensor(t, cfg, store), -1.0, 1.0).data
     if original_len is not None:
         rows = rows[: max(1, min(original_len, rows.shape[0]))]
     elif pad:
