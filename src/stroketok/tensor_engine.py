@@ -400,14 +400,16 @@ def _im2col(xp: np.ndarray, k: int, stride: int, t_out: int) -> np.ndarray:
     tap kk and channel c.
 
     Those K rows are one contiguous run of K*C values, so the windows are a
-    2-D strided view, copied once. The view is only valid on a C-contiguous
-    buffer; callers pass a fresh padded copy or np.ascontiguousarray.
+    2-D strided view, copied once. The view needs a C-contiguous buffer;
+    callers pass a fresh padded copy or np.ascontiguousarray.
     """
     if k == 1 and stride == 1:
         return xp
     row = xp.shape[1] * xp.itemsize
-    win = np.lib.stride_tricks.as_strided(
-        xp, shape=(t_out, k * xp.shape[1]), strides=(stride * row, xp.itemsize)
+    # an ndarray over xp's buffer: the strided view without as_strided's
+    # per-call overhead, and the buffer's size is checked against the windows
+    win = np.ndarray(
+        (t_out, k * xp.shape[1]), xp.dtype, xp, 0, (stride * row, xp.itemsize)
     )
     return win.copy()
 
