@@ -474,7 +474,9 @@ def conv1d(
 
     def bw(g):
         if kernel.requires_grad:
-            _accum(kernel, (cols.T @ g).reshape(k, c_in, c_out).transpose(2, 1, 0))
+            dk = (cols.T @ g).reshape(k, c_in, c_out).transpose(2, 1, 0)
+            # contiguous, so Adam's elementwise updates run at full speed
+            _accum(kernel, np.ascontiguousarray(dk))
         if bias is not None:
             _accum(bias, g.sum(axis=0))
         if x.requires_grad:
@@ -527,7 +529,8 @@ def conv_transpose1d(
             gf = np.ascontiguousarray(g)
         gwin = _im2col(gf, k, stride, length)  # (L, K*C_out)
         if kernel.requires_grad:
-            _accum(kernel, (xd.T @ gwin).reshape(c_in, k, c_out).transpose(0, 2, 1))
+            dk = (xd.T @ gwin).reshape(c_in, k, c_out).transpose(0, 2, 1)
+            _accum(kernel, np.ascontiguousarray(dk))
         if bias is not None:
             _accum(bias, g.sum(axis=0))
         if x.requires_grad:

@@ -240,7 +240,8 @@ class Packing:
     convolution runs them all.
 
     Sample i takes lengths[i] rows at the input (its padded length, a
-    multiple of 2**stages), and `gap` zero rows separate each pair. At level
+    multiple of 2**stages) and latent[i] at the latent, and `gap` zero rows
+    separate each pair. At level
     l (after l stride-2 stages; level `stages` is the latent) every count is
     divided by 2**l, and each sample still starts on a stride boundary. The
     two ends need no gap rows: the convolutions' own zero padding is there.
@@ -257,10 +258,10 @@ class Packing:
     """
 
     def __init__(self, lengths: list[int], cfg: CodecConfig):
-        self.stages = cfg.compression_stages
         reach = (cfg.kernel_size - 2) // 2
         self.gap = cfg.rate * max(1, (reach + 1) // 2)
         self.lengths = np.asarray(lengths, dtype=np.int64)
+        self.latent = self.lengths >> cfg.compression_stages
         spans = self.lengths + self.gap
         self.starts = np.cumsum(spans) - spans
         self.size = int(spans.sum()) - self.gap
@@ -591,8 +592,7 @@ def codec_loss(
         raise te.ShapeMismatch(f"recon {recon.data.shape} vs target {target.shape}")
     w_latent = w_rows = None
     if packing is not None:
-        n = len(packing.lengths)
-        latent = packing.lengths >> packing.stages
+        n, latent = len(packing.lengths), packing.latent
         w_latent = np.repeat(1.0 / (n * latent * z.data.shape[1]), latent)[:, None]
         w_rows = np.repeat(1.0 / (n * packing.lengths * 9), packing.lengths)[:, None]
     l_codebook = mse_loss(z, stop_gradient(zq), w_latent)
@@ -623,8 +623,8 @@ def batch_loss(
     total, l_cb, l_commit, l_recon = codec_loss(
         packing.target, recon, z, zq, cfg.alpha, packing
     )
-    latent = packing.lengths >> cfg.compression_stages
-    return total, l_cb, l_commit, l_recon, np.split(z.data, np.cumsum(latent)[:-1])
+    latents = np.split(z.data, np.cumsum(packing.latent)[:-1])
+    return total, l_cb, l_commit, l_recon, latents
 
 
 def _kmeans(
