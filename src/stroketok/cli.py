@@ -22,8 +22,7 @@ import numpy as np
 from . import __version__
 from .config import load_pipeline_config
 from .errors import StroketokError
-from .fixer import fix_pc, fix_pi
-from .matrix_codec import MATRIX_FORMAT_VERSION, TO_UNIT, scale, to_matrix
+from .matrix_codec import TO_UNIT, scale, to_matrix
 from .metrics import (
     EvalRecord,
     StageTimer,
@@ -70,7 +69,6 @@ REPORT_FORMAT_VERSION = "report v1"
 
 _FORMAT_VERSIONS = (
     GRAPHIC_FORMAT_VERSION,
-    MATRIX_FORMAT_VERSION,
     CHECKPOINT_FORMAT_VERSION,
     TOKEN_FORMAT_VERSION,
     REPORT_FORMAT_VERSION,
@@ -88,6 +86,15 @@ def _write_graphic(g, path: Path) -> None:
         path.write_text(graphic_to_svg(g))
     else:
         path.write_text(dump_graphic(g))
+
+
+def _write_decoded(g, report, path: Path) -> None:
+    """The graphic, and its fix report (when a fixer ran) beside it."""
+    _write_graphic(g, path)
+    if report is not None:
+        path.with_suffix(path.suffix + ".fixreport.json").write_text(
+            json.dumps(report.to_dict(), sort_keys=True)
+        )
 
 
 def _preprocess_one(args):
@@ -148,15 +155,12 @@ def _load_corpus_matrices(corpus_dir: Path):
     if not files:
         raise StroketokError(f"no .json graphics in {corpus_dir}")
     graphics = [load_graphic(p.read_text()) for p in files]
-    matrices = [scale(to_matrix(g), TO_UNIT, g.viewbox) for g in graphics]
-    return files, graphics, matrices
+    return [scale(to_matrix(g), TO_UNIT, g.viewbox) for g in graphics]
 
 
 def cmd_train_vq(ns) -> int:
-    cfg = load_pipeline_config(
-        ns.config, {"seed": ns.seed, "steps": ns.steps}
-    ).codec_config()
-    _, _, matrices = _load_corpus_matrices(Path(ns.corpus))
+    cfg, _ = load_pipeline_config(ns.config, {"seed": ns.seed, "steps": ns.steps})
+    matrices = _load_corpus_matrices(Path(ns.corpus))
     store, codebook, logs = train_vq(matrices, cfg)
     save_vq_checkpoint(ns.out, store, codebook, cfg)
     if ns.log:
@@ -203,23 +207,15 @@ def cmd_detokenize(ns) -> int:
         seq.meta["viewbox"] = list(meta_g.viewbox)
         seq.meta["orig_len"] = meta_g.command_count()
         seq.meta["keywords"] = list(meta_g.keywords)
-    g, report = detokenize(
-        seq, store, codebook, cfg, fixer=ns.fixer, with_report=True
-    )
+    g, report = detokenize(seq, store, codebook, cfg, fixer=ns.fixer)
     out = Path(ns.out)
-    _write_graphic(g, out)
-    if report is not None:
-        out.with_suffix(out.suffix + ".fixreport.json").write_text(
-            json.dumps(report.to_dict(), sort_keys=True)
-        )
+    _write_decoded(g, report, out)
     print(f"decoded {len(seq.tokens)} tokens -> {out}")
     return 0
 
 
 def cmd_train_lm(ns) -> int:
-    cfg = load_pipeline_config(
-        ns.config, {"seed": ns.seed, "lm_steps": ns.steps}
-    ).lm_config()
+    _, cfg = load_pipeline_config(ns.config, {"seed": ns.seed, "lm_steps": ns.steps})
     tokens_dir = Path(ns.tokens)
     corpus_dir = Path(ns.corpus) if ns.corpus else tokens_dir
     tok_files = sorted(tokens_dir.glob("*.tok"))
@@ -235,9 +231,7 @@ def cmd_train_lm(ns) -> int:
         if not g.keywords:
             log.warning("empty keywords for %s; skipped", p.stem)
             continue
-        seq = load_tokens(str(p))
-        seq.meta["stages"] = seq.meta.get("stages", 1)
-        pairs.append((list(g.keywords), seq))
+        pairs.append((list(g.keywords), load_tokens(str(p))))
     if not pairs:
         raise StroketokError("no usable (keywords, tokens) pairs")
     store, vocab, logs = train_lm(pairs, cfg)
@@ -264,15 +258,9 @@ def cmd_generate(ns) -> int:
     seq = lm_generate(keywords, lm_store, vocab, lm_cfg)
     if not seq.tokens:
         raise StroketokError("model generated an empty token sequence")
-    g, report = detokenize(
-        seq, vq_store, codebook, vq_cfg, fixer=ns.fixer, with_report=True
-    )
+    g, report = detokenize(seq, vq_store, codebook, vq_cfg, fixer=ns.fixer)
     out = Path(ns.out)
-    _write_graphic(g, out)
-    if report is not None:
-        out.with_suffix(out.suffix + ".fixreport.json").write_text(
-            json.dumps(report.to_dict(), sort_keys=True)
-        )
+    _write_decoded(g, report, out)
     if ns.tokens_out:
         save_tokens(seq, ns.tokens_out, vq_cfg)
     stop = "stopped at length cap" if seq.meta["truncated"] else "stopped at EOS"

@@ -5,14 +5,10 @@ Row layout: (T, x0, y0, c0x, c0y, c1x, c1y, x1, y1). The type channel T uses
 unscaled space (equally spaced codes maximize the snapping margin when
 decoding noisy matrices). Coordinate scaling to [-1, 1] is affine and
 aspect-preserving: both axes share the larger viewbox extent.
-
-Binary matrix files: magic "STKM", little-endian u32 row count, then rows as
-float64 row-major.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +31,6 @@ _CODE_TYPES = (MOVE, LINE, CUBIC)
 
 TO_UNIT = "to_unit"
 FROM_UNIT = "from_unit"
-
-MATRIX_MAGIC = b"STKM"
-MATRIX_FORMAT_VERSION = "matrix STKM v1"
 
 _X_COLS = (1, 3, 5, 7)
 _Y_COLS = (2, 4, 6, 8)
@@ -193,31 +186,3 @@ def scale(
         return StrokeMatrix(rows, scaled=False)
     raise ValueError(f"direction must be {TO_UNIT!r} or {FROM_UNIT!r}")
 
-
-def save_matrix(m: StrokeMatrix, path: str) -> None:
-    data = np.ascontiguousarray(m.rows, dtype="<f8")
-    with open(path, "wb") as f:
-        f.write(MATRIX_MAGIC)
-        f.write(struct.pack("<I", len(m)))
-        f.write(data.tobytes())
-
-
-def load_matrix(path: str, scaled: bool = False) -> StrokeMatrix:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != MATRIX_MAGIC:
-        raise ValueError(f"{path}: not a stroke-matrix file (bad magic)")
-    (count,) = struct.unpack("<I", blob[4:8])
-    expected = 8 + count * 9 * 8
-    if len(blob) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes, found {len(blob)}")
-    rows = np.frombuffer(blob[8:], dtype="<f8").reshape(count, 9).astype(np.float64)
-    return StrokeMatrix(rows, scaled=scaled)
-
-
-def matrix_to_csv(m: StrokeMatrix) -> str:
-    header = "T,x0,y0,c0x,c0y,c1x,c1y,x1,y1"
-    lines = [header]
-    for row in m.rows:
-        lines.append(",".join(f"{v:.9g}" for v in row))
-    return "\n".join(lines) + "\n"

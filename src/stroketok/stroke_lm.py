@@ -93,9 +93,9 @@ class LmConfig:
 class Vocab:
     stroke_vocab: int  # d * |B|
     keyword_words: list[str]  # index = id; position 0 is UNK
-    rvq_depth: int = 2
-    codebook_size: int = 128
-    stages: int = 1
+    rvq_depth: int
+    codebook_size: int
+    stages: int
     _kw_ids: dict[str, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -132,9 +132,7 @@ def build_vocab(pairs: list[tuple[list[str], StrokeTokenSeq]]) -> Vocab:
     if not pairs:
         raise ValueError("no training pairs")
     meta = pairs[0][1].meta
-    depth = int(meta.get("rvq_depth", 2))
-    size = int(meta.get("codebook_size", 128))
-    stages = int(meta.get("stages", 1))
+    depth, size = int(meta["rvq_depth"]), int(meta["codebook_size"])
     words = set(PROMPT_TEMPLATE.split())
     for keywords, _ in pairs:
         for kw in keywords:
@@ -144,7 +142,7 @@ def build_vocab(pairs: list[tuple[list[str], StrokeTokenSeq]]) -> Vocab:
         keyword_words=sorted(words),
         rvq_depth=depth,
         codebook_size=size,
-        stages=stages,
+        stages=int(meta["stages"]),
     )
 
 
@@ -465,24 +463,11 @@ def generate(
 def save_lm_checkpoint(
     path: str, store: ParameterStore, vocab: Vocab, cfg: LmConfig
 ) -> None:
-    named = store.state_dict()
-    cfg_fields = (
-        "embed_dim",
-        "layers",
-        "heads",
-        "max_len",
-        "lr",
-        "seed",
-        "temperature",
-        "top_k",
-        "steps",
-        "batch_size",
-        "mlp_mult",
-    )
-    for name in cfg_fields:
-        named[f"config.{name}"] = np.array(float(getattr(cfg, name)))
-    for name in ("stroke_vocab", "rvq_depth", "codebook_size", "stages"):
-        named[f"vocab.{name}"] = np.array(float(getattr(vocab, name)))
+    named = {
+        **store.state_dict(),
+        **te.config_tensors("config", cfg),
+        **te.config_tensors("vocab", vocab),
+    }
     blob = "\n".join(vocab.keyword_words).encode("utf-8")
     named["vocab.words_utf8"] = np.frombuffer(blob, dtype=np.uint8).astype(np.float64)
     te.save_named_tensors(path, named)
@@ -490,23 +475,7 @@ def save_lm_checkpoint(
 
 def load_lm_checkpoint(path: str) -> tuple[ParameterStore, Vocab, LmConfig]:
     named = te.load_named_tensors(path)
-
-    def scalar(prefix, name, cast=int):
-        return cast(float(te.checkpoint_entry(named, f"{prefix}.{name}", path)))
-
-    cfg = LmConfig(
-        embed_dim=scalar("config", "embed_dim"),
-        layers=scalar("config", "layers"),
-        heads=scalar("config", "heads"),
-        max_len=scalar("config", "max_len"),
-        lr=scalar("config", "lr", float),
-        seed=scalar("config", "seed"),
-        temperature=scalar("config", "temperature", float),
-        top_k=scalar("config", "top_k"),
-        steps=scalar("config", "steps"),
-        batch_size=scalar("config", "batch_size"),
-        mlp_mult=scalar("config", "mlp_mult"),
-    )
+    cfg = LmConfig(**te.config_values(LmConfig, named, "config", path))
     words = (
         te.checkpoint_entry(named, "vocab.words_utf8", path, ndim=1)
         .astype(np.uint8)
@@ -514,13 +483,7 @@ def load_lm_checkpoint(path: str) -> tuple[ParameterStore, Vocab, LmConfig]:
         .decode("utf-8")
         .split("\n")
     )
-    vocab = Vocab(
-        stroke_vocab=scalar("vocab", "stroke_vocab"),
-        keyword_words=words,
-        rvq_depth=scalar("vocab", "rvq_depth"),
-        codebook_size=scalar("vocab", "codebook_size"),
-        stages=scalar("vocab", "stages"),
-    )
+    vocab = Vocab(keyword_words=words, **te.config_values(Vocab, named, "vocab", path))
     store = init_lm_params(vocab, cfg)
     params = {
         k: v

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import struct
 from contextlib import contextmanager
+from dataclasses import fields
 
 import numpy as np
 
@@ -927,3 +928,29 @@ def checkpoint_entry(
             f"(shape {arr.shape})"
         )
     return arr
+
+
+# casts of the dataclass fields a checkpoint stores, keyed by annotation
+# (every config module postpones annotations, so they are strings)
+_SCALAR_CASTS = {"int": int, "float": float}
+
+
+def config_tensors(prefix: str, obj) -> dict[str, np.ndarray]:
+    """Entry `prefix.name` (a float64 scalar) for every int or float field
+    of the dataclass `obj`, in field order."""
+    return {
+        f"{prefix}.{f.name}": np.array(float(getattr(obj, f.name)))
+        for f in fields(obj)
+        if f.type in _SCALAR_CASTS
+    }
+
+
+def config_values(cls, named: dict[str, np.ndarray], prefix: str, path: str) -> dict:
+    """The int and float fields of the dataclass `cls` read back from the
+    entries `config_tensors` wrote, as keyword arguments; a missing or bad
+    entry raises CorruptCheckpoint (`checkpoint_entry`)."""
+    return {
+        f.name: _SCALAR_CASTS[f.type](float(checkpoint_entry(named, f"{prefix}.{f.name}", path)))
+        for f in fields(cls)
+        if f.type in _SCALAR_CASTS
+    }

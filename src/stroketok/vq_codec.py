@@ -32,7 +32,7 @@ import numpy as np
 
 from . import tensor_engine as te
 from .errors import StroketokError
-from .fixer import fix_pc, fix_pi
+from .fixer import FixReport, fix_pc, fix_pi
 from .matrix_codec import FROM_UNIT, TO_UNIT, StrokeMatrix, from_matrix, scale, to_matrix
 from .model import Graphic
 from .tensor_engine import (
@@ -96,10 +96,12 @@ class CodecConfig:
     batch_size: int = 8
     steps: int = 2000
     kernel_size: int = 4
-    target_recon: float | None = None
-    fixer_strategy: str = FIXER_PC
+    target_recon: float | None = None  # <= 0 (or None) disables early stopping
+    fixer: str = FIXER_PC
 
     def __post_init__(self):
+        if self.target_recon is not None and not self.target_recon > 0:
+            self.target_recon = None
         if self.compression_stages < 1:
             raise ValueError("compression_stages must be >= 1")
         if self.rvq_depth < 1:
@@ -110,8 +112,8 @@ class CodecConfig:
             raise ValueError("code_dim must be >= 1 and alpha >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.fixer_strategy not in _FIXER_CODES:
-            raise ValueError(f"fixer_strategy must be one of {sorted(_FIXER_CODES)}")
+        if self.fixer not in _FIXER_CODES:
+            raise ValueError(f"fixer must be one of {sorted(_FIXER_CODES)}")
         if self.kernel_size < 2 or self.kernel_size % 2:
             raise ValueError("kernel_size must be even (exact stride-2 doubling)")
 
@@ -813,12 +815,9 @@ def detokenize(
     codebook: Codebook,
     cfg: CodecConfig,
     fixer: str | None = None,
-    with_report: bool = False,
-):
-    """Token ids -> repaired Graphic (fixer strategy from cfg unless given).
-
-    With with_report=True returns (Graphic, FixReport | None).
-    """
+) -> tuple[Graphic, FixReport | None]:
+    """Token ids -> (repaired Graphic, its FixReport); the fixer strategy is
+    cfg's unless given, and the report is None when no fixer runs."""
     zq = lookup_tokens(seq.tokens, codebook)
     orig_len = seq.meta.get("orig_len")
     with no_grad():
@@ -827,15 +826,13 @@ def detokenize(
     viewbox = (vb[0], vb[1], vb[2], vb[3])
     m = scale(ms, FROM_UNIT, viewbox)
     g = from_matrix(m, viewbox, keywords=tuple(seq.meta.get("keywords", ())))
-    strategy = cfg.fixer_strategy if fixer is None else fixer
+    strategy = cfg.fixer if fixer is None else fixer
     report = None
     if strategy == FIXER_PC:
         g, report = fix_pc(g)
     elif strategy == FIXER_PI:
         g, report = fix_pi(g)
-    if with_report:
-        return g, report
-    return g
+    return g, report
 
 
 # ---------------------------------------------------------------------------
@@ -889,60 +886,29 @@ def load_tokens(path: str) -> StrokeTokenSeq:
     )
 
 
-_CONFIG_FIELDS = (
-    "compression_stages",
-    "rvq_depth",
-    "codebook_size",
-    "code_dim",
-    "alpha",
-    "lr",
-    "seed",
-    "batch_size",
-    "steps",
-    "kernel_size",
-)
-
-
 def save_vq_checkpoint(
     path: str, store: ParameterStore, codebook: Codebook, cfg: CodecConfig
 ) -> None:
-    named = store.state_dict()
-    for name in _CONFIG_FIELDS:
-        named[f"config.{name}"] = np.array(float(getattr(cfg, name)))
+    named = {**store.state_dict(), **te.config_tensors("config", cfg)}
     named["config.channels"] = np.array(cfg.stage_channels(), dtype=np.float64)
-    named["config.fixer"] = np.array(float(_FIXER_CODES[cfg.fixer_strategy]))
+    named["config.fixer"] = np.array(float(_FIXER_CODES[cfg.fixer]))
     for level, usage in enumerate(codebook.usage):
         named[f"codebook.usage{level}"] = usage.astype(np.float64)
     te.save_named_tensors(path, named)
 
 
 def load_vq_checkpoint(path: str) -> tuple[ParameterStore, Codebook, CodecConfig]:
+    """Inverse of `save_vq_checkpoint`. The config comes back whole except
+    `target_recon`, a training-only stop rule that is not stored: the loaded
+    config has None there."""
     named = te.load_named_tensors(path)
-
-    def scalar(name, cast=int):
-        return cast(float(te.checkpoint_entry(named, f"config.{name}", path)))
-
-    def fixer_name():
-        code = scalar("fixer")
-        if code not in _FIXER_NAMES:
-            raise te.CorruptCheckpoint(f"{path}: unknown fixer code {code}")
-        return _FIXER_NAMES[code]
-
+    values = te.config_values(CodecConfig, named, "config", path)
+    channels = te.checkpoint_entry(named, "config.channels", path, ndim=1)
+    code = int(float(te.checkpoint_entry(named, "config.fixer", path)))
+    if code not in _FIXER_NAMES:
+        raise te.CorruptCheckpoint(f"{path}: unknown fixer code {code}")
     cfg = CodecConfig(
-        compression_stages=scalar("compression_stages"),
-        rvq_depth=scalar("rvq_depth"),
-        codebook_size=scalar("codebook_size"),
-        code_dim=scalar("code_dim"),
-        channels=tuple(
-            int(c) for c in te.checkpoint_entry(named, "config.channels", path, ndim=1)
-        ),
-        alpha=scalar("alpha", float),
-        lr=scalar("lr", float),
-        seed=scalar("seed"),
-        batch_size=scalar("batch_size"),
-        steps=scalar("steps"),
-        kernel_size=scalar("kernel_size"),
-        fixer_strategy=fixer_name(),
+        **values, channels=tuple(int(c) for c in channels), fixer=_FIXER_NAMES[code]
     )
     store = init_codec_params(cfg, np.random.default_rng(cfg.seed))
     params = {k: v for k, v in named.items() if not k.startswith("config.")}

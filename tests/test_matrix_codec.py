@@ -8,9 +8,6 @@ from stroketok.matrix_codec import (
     DomainViolation,
     StrokeMatrix,
     from_matrix,
-    load_matrix,
-    matrix_to_csv,
-    save_matrix,
     scale,
     snap_type,
     to_matrix,
@@ -144,15 +141,3 @@ def test_scale_direction_preconditions():
     m = to_matrix(simple_graphic())
     with pytest.raises(ValueError):
         scale(scale(m, TO_UNIT, (0, 0, 10, 10)), TO_UNIT, (0, 0, 10, 10))
-
-
-def test_matrix_file_round_trip(tmp_path):
-    m = to_matrix(gen_synthetic(1, 5)[0])
-    p = tmp_path / "g.stkm"
-    save_matrix(m, str(p))
-    m2 = load_matrix(str(p))
-    assert np.array_equal(m.rows, m2.rows)
-    assert p.read_bytes()[:4] == b"STKM"
-    csv = matrix_to_csv(m)
-    assert csv.splitlines()[0] == "T,x0,y0,c0x,c0y,c1x,c1y,x1,y1"
-    assert len(csv.splitlines()) == len(m) + 1

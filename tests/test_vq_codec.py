@@ -383,7 +383,8 @@ def test_tokenize_detokenize_contracts():
     assert all(0 <= t < cfg.rvq_depth * cfg.codebook_size for t in seq.tokens)
     assert seq.meta["orig_len"] == g.command_count()
 
-    out = detokenize(seq, store, codebook, cfg)
+    out, report = detokenize(seq, store, codebook, cfg)
+    assert report is not None  # the default PC fixer ran
     # decode trims to orig_len rows; from_matrix may prepend one synthesized
     # MoveTo when the first decoded row is not a move
     assert g.command_count() <= out.command_count() <= g.command_count() + 1
@@ -395,7 +396,7 @@ def test_tokenize_detokenize_contracts():
             latent_len=1,
             meta=seq.meta,
         )
-        detokenize(bad, store, codebook, cfg)
+        _, _ = detokenize(bad, store, codebook, cfg)
 
 
 def test_lookup_tokens_total_on_any_valid_ids():
