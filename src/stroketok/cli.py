@@ -9,11 +9,13 @@ artifacts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import multiprocessing
 import statistics
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -24,8 +26,6 @@ from .config import load_pipeline_config
 from .errors import StroketokError
 from .matrix_codec import TO_UNIT, scale, to_matrix
 from .metrics import (
-    EvalRecord,
-    StageTimer,
     code_length,
     compression_ratio,
     edit_score,
@@ -93,7 +93,7 @@ def _write_decoded(g, report, path: Path) -> None:
     _write_graphic(g, path)
     if report is not None:
         path.with_suffix(path.suffix + ".fixreport.json").write_text(
-            json.dumps(report.to_dict(), sort_keys=True)
+            json.dumps(dataclasses.asdict(report), sort_keys=True)
         )
 
 
@@ -102,7 +102,7 @@ def _preprocess_one(args):
     path = Path(src)
     try:
         g = _load_graphic_file(path)
-    except (MalformedSvg, EmptyGraphic, ValueError, KeyError) as e:
+    except (MalformedSvg, EmptyGraphic, ValueError) as e:
         return (path.stem, "error", str(e), None)
     g = simplify(g)
     if min_keywords and len(g.keywords) < min_keywords:
@@ -276,25 +276,23 @@ def _evaluate_one(args, vq):
     store, codebook, cfg = vq
     golden = simplify(load_graphic(golden_text))
     candidate = simplify(_load_graphic_file(Path(cand_path)))
-    timer = StageTimer()
-    with timer.time("tokenize"):
-        gold_seq = tokenize(golden, store, codebook, cfg)
-        cand_seq = tokenize(candidate, store, codebook, cfg)
-    with timer.time("edit"):
-        edit = edit_score(golden, candidate)
-    with timer.time("iou"):
-        iou = pixel_iou(golden, candidate, res=res, stroke_px=stroke_px)
+    t0 = time.perf_counter()
+    gold_seq = tokenize(golden, store, codebook, cfg)
+    cand_seq = tokenize(candidate, store, codebook, cfg)
+    t1 = time.perf_counter()
+    edit = edit_score(golden, candidate)
+    t2 = time.perf_counter()
+    iou = pixel_iou(golden, candidate, res=res, stroke_px=stroke_px)
+    t3 = time.perf_counter()
     cr = compression_ratio(code_length(golden), len(gold_seq.tokens))
-    rec = recall_score(gold_seq, cand_seq)
-    record = EvalRecord(
-        edit=edit,
-        cr=cr,
-        cr_inverse=1.0 / cr,
-        recall=rec,
-        pixel_iou=iou,
-        timings=timer.timings,
-    )
-    return record
+    return {
+        "edit": edit,
+        "cr": cr,
+        "cr_inverse": 1.0 / cr,
+        "recall": recall_score(gold_seq, cand_seq),
+        "pixel_iou": iou,
+        "timings": {"tokenize": t1 - t0, "edit": t2 - t1, "iou": t3 - t2},
+    }
 
 
 # the VQ model of one evaluate worker process, loaded once by its initializer
@@ -305,7 +303,7 @@ def _init_evaluate_worker(ckpt: str) -> None:
     global _worker_vq
     try:
         _worker_vq = load_vq_checkpoint(ckpt)
-    except (StroketokError, FileNotFoundError, ValueError) as e:
+    except (StroketokError, OSError, ValueError) as e:
         # raised again by every task, so the parent reports it as --jobs 1 does
         _worker_vq = e
 
@@ -348,9 +346,9 @@ def cmd_evaluate(ns) -> int:
 
     rows = []
     for name, rec in zip(names, records):
-        row = {"name": name}
-        row.update(rec.to_dict(include_timings=ns.timings))
-        rows.append(row)
+        if not ns.timings:
+            del rec["timings"]
+        rows.append({"name": name, **rec})
     metrics_keys = ("edit", "cr", "cr_inverse", "recall", "pixel_iou")
     aggregates = {
         "mean": {k: statistics.fmean(r[k] for r in rows) for k in metrics_keys},
@@ -489,7 +487,7 @@ def dispatch(argv=None) -> int:
         return int(e.code or 0)
     try:
         return ns.fn(ns)
-    except (StroketokError, FileNotFoundError, ValueError) as e:
+    except (StroketokError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -13,6 +13,7 @@ training subcommand validates the whole file.
 
 from __future__ import annotations
 
+import re
 from dataclasses import fields
 
 from .errors import StroketokError
@@ -37,6 +38,10 @@ def _key_targets() -> dict[str, list]:
 
 
 _TARGETS = _key_targets()
+# LmConfig field -> its config key, to name keys in LmConfig's messages
+_LM_KEYS = {
+    f.name: key for key, targets in _TARGETS.items() for cls, f in targets if cls is LmConfig
+}
 
 
 def _coerce(key: str, raw: str):
@@ -62,7 +67,10 @@ def parse_config_text(text: str) -> dict:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _TARGETS:
             raise UnknownConfigKey(f"line {lineno}: unknown key {key!r}")
-        out[key] = _coerce(key, raw)
+        try:
+            out[key] = _coerce(key, raw)
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: bad value for {key!r}: {e}") from None
     return out
 
 
@@ -82,4 +90,10 @@ def load_pipeline_config(
     for key, val in values.items():
         for cls, f in _TARGETS[key]:
             kwargs[cls][f.name] = val
-    return CodecConfig(**kwargs[CodecConfig]), LmConfig(**kwargs[LmConfig])
+    codec = CodecConfig(**kwargs[CodecConfig])
+    try:
+        lm = LmConfig(**kwargs[LmConfig])
+    except ValueError as e:
+        message = re.sub(r"\w+", lambda m: _LM_KEYS.get(m[0], m[0]), str(e))
+        raise ValueError(message) from None
+    return codec, lm

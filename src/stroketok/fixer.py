@@ -32,14 +32,6 @@ class FixReport:
     commands_inserted: int
     max_gap: float
 
-    def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "violations_found": self.violations_found,
-            "commands_inserted": self.commands_inserted,
-            "max_gap": self.max_gap,
-        }
-
 
 def default_connect_tol(g: Graphic) -> float:
     """Gap below which a pair counts as interconnected when reporting."""
@@ -86,12 +78,10 @@ def fix_pc(g: Graphic) -> tuple[Graphic, FixReport]:
     return fixed, FixReport(STRATEGY_PC, violations, 0, max_gap)
 
 
-def fix_pi(g: Graphic, tol: float = 0.0) -> tuple[Graphic, FixReport]:
-    """Path interpolation: bridge every gap above `tol` with a MoveTo.
-
-    The default tol of 0 bridges every pair that is not exactly connected,
-    so the output always passes check_connectivity at tol=0 and no original
-    coordinate ever moves.
+def fix_pi(g: Graphic) -> tuple[Graphic, FixReport]:
+    """Path interpolation: bridge every pair that is not exactly connected
+    with a MoveTo, so the output always passes check_connectivity at tol=0
+    and no original coordinate ever moves.
     """
     violations = 0
     max_gap = 0.0
@@ -102,7 +92,7 @@ def fix_pi(g: Graphic, tol: float = 0.0) -> tuple[Graphic, FixReport]:
             if j > 0:
                 prev_end = cmds[-1].end
                 gap = math.dist(prev_end, cmd.begin)
-                if gap > tol and prev_end != cmd.begin:
+                if gap > 0.0 and prev_end != cmd.begin:
                     violations += 1
                     max_gap = max(max_gap, gap)
                     cmds.append(

@@ -62,16 +62,15 @@ class StrokeMatrix:
         return self.rows.shape[0]
 
 
-def to_matrix(g: Graphic, chain_tol: float | None = None) -> StrokeMatrix:
+def to_matrix(g: Graphic) -> StrokeMatrix:
     """Stack every command of every path into one unscaled matrix row each.
 
     Coordinates are written verbatim (the control fill for M/L is applied
     where commands are created, not here, so repaired graphics keep their
     literal values). Raises BrokenChain when a within-path begin/end gap
-    exceeds `chain_tol` (default 1e-6 of the larger viewbox extent).
+    exceeds 1e-6 of the larger viewbox extent (`default_connect_tol`).
     """
-    if chain_tol is None:
-        chain_tol = default_connect_tol(g)
+    chain_tol = default_connect_tol(g)
     if not g.paths:
         raise ValueError("graphic has no paths")
     rows = []

@@ -16,9 +16,7 @@ cell updates. `levenshtein`, the two-row DP, is kept as its test oracle.
 
 from __future__ import annotations
 
-import time
 from collections import Counter
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,28 +41,6 @@ class VocabMismatch(StroketokError):
 
 class RenderFailure(StroketokError):
     """Graphic could not be rasterized for pixel comparison."""
-
-
-@dataclass
-class EvalRecord:
-    edit: float
-    cr: float
-    cr_inverse: float
-    recall: float
-    pixel_iou: float
-    timings: dict[str, float] = field(default_factory=dict)
-
-    def to_dict(self, include_timings: bool = False) -> dict:
-        out = {
-            "edit": self.edit,
-            "cr": self.cr,
-            "cr_inverse": self.cr_inverse,
-            "recall": self.recall,
-            "pixel_iou": self.pixel_iou,
-        }
-        if include_timings:
-            out["timings"] = self.timings
-        return out
 
 
 def serialize_symbols(g: Graphic) -> list[int]:
@@ -199,24 +175,3 @@ def pixel_iou(a: Graphic, b: Graphic, res: int = 128, stroke_px: int = 2) -> flo
     inter = int(np.count_nonzero(ga & gb))
     return inter / union
 
-
-class StageTimer:
-    """Accumulates wall-clock seconds per named stage."""
-
-    def __init__(self):
-        self.timings: dict[str, float] = {}
-
-    def time(self, name: str):
-        timer = self
-
-        class _Ctx:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-
-            def __exit__(self, *exc):
-                timer.timings[name] = timer.timings.get(name, 0.0) + (
-                    time.perf_counter() - self.t0
-                )
-                return False
-
-        return _Ctx()

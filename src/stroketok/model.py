@@ -10,7 +10,6 @@ begin and end), which keeps every channel geometrically meaningful.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .errors import StroketokError
@@ -47,9 +46,6 @@ class BasicCommand:
 
     def points(self) -> tuple[Point, Point, Point, Point]:
         return (self.begin, self.ctrl0, self.ctrl1, self.end)
-
-    def is_finite(self) -> bool:
-        return all(math.isfinite(v) for p in self.points() for v in p)
 
 
 def _lerp(a: Point, b: Point, t: float) -> Point:

@@ -220,6 +220,11 @@ def parse_path_data(d: str) -> list[list[BasicCommand]]:
         prev_cubic_ctrl = cmd.ctrl1 if cmd.cmd_type == "C" else None
         prev_quad_ctrl = None
 
+    def point() -> Point:
+        """The next coordinate pair, made absolute for a relative command."""
+        x, y = sc.number(), sc.number()
+        return (pen[0] + x, pen[1] + y) if rel else (x, y)
+
     while not sc.at_end():
         if sc.peek_command() is None:
             # Implicit repeats are consumed by the inner loop, so leftover
@@ -233,22 +238,17 @@ def parse_path_data(d: str) -> list[list[BasicCommand]]:
         while first_group or sc.starts_argument():
             first_group = False
             if op == "M":
-                x, y = sc.number(), sc.number()
-                if rel:
-                    x, y = pen[0] + x, pen[1] + y
+                pen = point()
                 flush()
-                pen = (x, y)
                 subpath_start = pen
                 emit(move_cmd(pen, pen))
                 prev_quad_ctrl = None
                 # Subsequent coordinate pairs are implicit linetos.
                 op = "L"
             elif op == "L":
-                x, y = sc.number(), sc.number()
-                if rel:
-                    x, y = pen[0] + x, pen[1] + y
-                emit(line_cmd(pen, (x, y)))
-                pen = (x, y)
+                end = point()
+                emit(line_cmd(pen, end))
+                pen = end
             elif op == "H":
                 x = sc.number()
                 if rel:
@@ -262,53 +262,29 @@ def parse_path_data(d: str) -> list[list[BasicCommand]]:
                 emit(line_cmd(pen, (pen[0], y)))
                 pen = (pen[0], y)
             elif op == "C":
-                vals = [sc.number() for _ in range(6)]
-                if rel:
-                    vals = [
-                        v + (pen[0] if i % 2 == 0 else pen[1])
-                        for i, v in enumerate(vals)
-                    ]
-                c0, c1, end = (vals[0], vals[1]), (vals[2], vals[3]), (vals[4], vals[5])
+                c0, c1, end = point(), point(), point()
                 emit(cubic_cmd(pen, c0, c1, end))
                 pen = end
             elif op == "S":
-                vals = [sc.number() for _ in range(4)]
-                if rel:
-                    vals = [
-                        v + (pen[0] if i % 2 == 0 else pen[1])
-                        for i, v in enumerate(vals)
-                    ]
+                c1, end = point(), point()
                 if last_cmd.upper() in ("C", "S") and prev_cubic_ctrl is not None:
                     c0 = (2 * pen[0] - prev_cubic_ctrl[0], 2 * pen[1] - prev_cubic_ctrl[1])
                 else:
                     c0 = pen
-                c1, end = (vals[0], vals[1]), (vals[2], vals[3])
                 emit(cubic_cmd(pen, c0, c1, end))
                 pen = end
             elif op == "Q":
-                vals = [sc.number() for _ in range(4)]
-                if rel:
-                    vals = [
-                        v + (pen[0] if i % 2 == 0 else pen[1])
-                        for i, v in enumerate(vals)
-                    ]
-                q, end = (vals[0], vals[1]), (vals[2], vals[3])
+                q, end = point(), point()
                 c0, c1 = elevate_quadratic(pen, q, end)
                 emit(cubic_cmd(pen, c0, c1, end))
                 prev_quad_ctrl = q
                 pen = end
             elif op == "T":
-                vals = [sc.number() for _ in range(2)]
-                if rel:
-                    vals = [
-                        v + (pen[0] if i % 2 == 0 else pen[1])
-                        for i, v in enumerate(vals)
-                    ]
+                end = point()
                 if last_cmd.upper() in ("Q", "T") and prev_quad_ctrl is not None:
                     q = (2 * pen[0] - prev_quad_ctrl[0], 2 * pen[1] - prev_quad_ctrl[1])
                 else:
                     q = pen
-                end = (vals[0], vals[1])
                 c0, c1 = elevate_quadratic(pen, q, end)
                 emit(cubic_cmd(pen, c0, c1, end))
                 prev_quad_ctrl = q
@@ -318,10 +294,7 @@ def parse_path_data(d: str) -> list[list[BasicCommand]]:
                 rot = sc.number()
                 large = sc.flag()
                 swp = sc.flag()
-                x, y = sc.number(), sc.number()
-                if rel:
-                    x, y = pen[0] + x, pen[1] + y
-                end = (x, y)
+                end = point()
                 segs = arc_to_cubics(pen, rx, ry, rot, large, swp, end)
                 if not segs:
                     if end != pen:

@@ -43,11 +43,11 @@ from .tensor_engine import (
     embedding,
     layer_norm,
     linear,
-    narrow,
     no_grad,
     optimizer_step,
     relu,
     reshape,
+    take_rows,
 )
 from .vq_codec import StrokeTokenSeq
 
@@ -205,13 +205,12 @@ def _trunk(
     vocab: Vocab,
     cfg: LmConfig,
     *,
-    width: int = 0,
     cache: dict | None = None,
 ) -> Tensor:
     """Hidden states (B, S, D) after the last block, for B samples at once.
 
     Sample b's rows are prompts[b] then token_rows[b], right-padded with PAD
-    to S = max(width, longest sample). No key mask is needed for the
+    to S = the longest sample's length. No key mask is needed for the
     padding: it sits after the sample's last real row, so the causal mask
     already hides it from every real row, and a real row's value and
     gradient do not depend on it.
@@ -228,13 +227,15 @@ def _trunk(
         list(prompt) + [n_words + t for t in tokens]
         for prompt, tokens in zip(prompts, token_rows)
     ]
-    s = max(width, *map(len, rows))
+    s = max(map(len, rows))
     if start + s > cfg.max_len:
         raise SequenceTooLong(f"{start + s} positions > max_len {cfg.max_len}")
     pad = n_words + vocab.pad_id
     ids = np.array([row + [pad] * (s - len(row)) for row in rows], dtype=np.int64)
     table = concat([store["prompt_embed"], store["token_embed"]], axis=0)
-    x = add(embedding(table, ids), narrow(store["pos_embed"], 0, start, s))
+    x = add(
+        embedding(table, ids), take_rows(store["pos_embed"], np.arange(start, start + s))
+    )
     for layer in range(cfg.layers):
         p = f"layer{layer}"
         h = layer_norm(x, store[f"{p}.ln1.g"], store[f"{p}.ln1.b"])
@@ -260,7 +261,7 @@ def _trunk(
 def _logits(x: Tensor, rows, store: ParameterStore) -> Tensor:
     """Output logits (len(rows), V) for the given rows of the trunk's
     (B, S, D) output, flattened (row b*S + i is sample b, position i)."""
-    picked = embedding(reshape(x, (-1, x.data.shape[-1])), rows)
+    picked = take_rows(reshape(x, (-1, x.data.shape[-1])), rows)
     h = layer_norm(picked, store["ln_f.g"], store["ln_f.b"])
     return linear(h, store["head.w"], store["head.b"])
 
@@ -298,16 +299,14 @@ def batch_loss(
     store: ParameterStore,
     vocab: Vocab,
     cfg: LmConfig,
-    *,
-    width: int = 0,
 ) -> Tensor:
     """Teacher-forced CE of B samples in one graph: each sample's mean CE
     over its n + 1 target positions (its tokens, then EOS), averaged over
     the samples.
 
     The trunk runs once over every sample's prompt + [BOS] + tokens rows,
-    right-padded to the longest (or to `width` rows); only the n + 1 real
-    rows of each sample reach the output head, each weighted 1 / (n + 1).
+    right-padded to the longest; only the n + 1 real rows of each sample
+    reach the output head, each weighted 1 / (n + 1).
     """
     for prompt, seq in zip(prompts, seqs):
         if len(prompt) + len(seq) + 2 > cfg.max_len:
@@ -315,7 +314,7 @@ def batch_loss(
                 f"prompt {len(prompt)} + sequence {len(seq)} + 2 > max_len {cfg.max_len}"
             )
     inputs = [[vocab.bos_id] + list(seq) for seq in seqs]
-    x = _trunk(prompts, inputs, store, vocab, cfg, width=width)
+    x = _trunk(prompts, inputs, store, vocab, cfg)
     s = x.data.shape[1]
     rows = np.concatenate(
         [b * s + len(p) + np.arange(len(t)) for b, (p, t) in enumerate(zip(prompts, inputs))]
@@ -331,16 +330,10 @@ def sequence_loss(
     store: ParameterStore,
     vocab: Vocab,
     cfg: LmConfig,
-    pad_to: int | None = None,
 ) -> Tensor:
-    """Teacher-forced CE for one sample: the mean over its tokens and EOS.
-
-    The one-sample case of `batch_loss`. With `pad_to`, the token side runs
-    as at least pad_to rows (BOS, the tokens, then PAD rows that no loss
-    reads), as a sample padded inside a training batch does.
-    """
-    width = 0 if pad_to is None else len(prompt_ids) + pad_to
-    return batch_loss([prompt_ids], [seq_tokens], store, vocab, cfg, width=width)
+    """Teacher-forced CE for one sample: the mean over its tokens and EOS;
+    the one-sample case of `batch_loss`."""
+    return batch_loss([prompt_ids], [seq_tokens], store, vocab, cfg)
 
 
 def train_lm(

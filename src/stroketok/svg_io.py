@@ -276,8 +276,12 @@ def _rounded_path_key(path: Path, grid: float) -> tuple:
     return tuple(key)
 
 
-def _is_outer_box(path: Path, viewbox, grid: float, cover: float) -> bool:
-    """Axis-aligned closed rectangle covering at least `cover` of each
+# an outer box covers at least this share of each viewbox dimension
+_BOX_COVER = 0.98
+
+
+def _is_outer_box(path: Path, viewbox, grid: float) -> bool:
+    """Axis-aligned closed rectangle covering at least `_BOX_COVER` of each
     viewbox dimension (the "outer box" frames some corpora add)."""
     cmds = path.commands
     if cmds[0].cmd_type != MOVE or any(c.cmd_type != LINE for c in cmds[1:]):
@@ -296,14 +300,11 @@ def _is_outer_box(path: Path, viewbox, grid: float, cover: float) -> bool:
         return False
     w = (max(xs) - min(xs)) * grid
     h = (max(ys) - min(ys)) * grid
-    return w >= cover * viewbox[2] and h >= cover * viewbox[3]
+    return w >= _BOX_COVER * viewbox[2] and h >= _BOX_COVER * viewbox[3]
 
 
 def preprocess(
-    g: Graphic,
-    max_commands: int = 1024,
-    min_commands: int = 2,
-    box_cover_fraction: float = 0.98,
+    g: Graphic, max_commands: int = 1024, min_commands: int = 2
 ) -> Graphic | Rejected:
     """Corpus rules: drop duplicate paths and the outer box, bound length.
 
@@ -320,7 +321,7 @@ def preprocess(
         if key in seen:
             continue
         seen.add(key)
-        if _is_outer_box(path, g.viewbox, grid, box_cover_fraction):
+        if _is_outer_box(path, g.viewbox, grid):
             continue
         kept.append(path)
 
@@ -488,9 +489,16 @@ def dump_graphic(g: Graphic) -> str:
 
 def load_graphic(text: str) -> Graphic:
     obj = json.loads(text)
+    if not isinstance(obj, dict) or "viewbox" not in obj or "paths" not in obj:
+        raise ValueError("graphic JSON must be an object holding viewbox and paths")
     vb = obj["viewbox"]
-    if len(vb) != 4:
+    if not isinstance(vb, list) or len(vb) != 4:
         raise ValueError("viewbox must have 4 numbers")
+    if not isinstance(obj["paths"], list) or not all(
+        isinstance(rows, list) and all(isinstance(row, list) and row for row in rows)
+        for rows in obj["paths"]
+    ):
+        raise ValueError("paths must be a list of paths, each a list of command rows")
     paths = []
     for rows in obj["paths"]:
         cmds = []
@@ -518,10 +526,10 @@ def load_graphic(text: str) -> Graphic:
     )
 
 
-def graphic_to_svg(g: Graphic, stroke_width: float | None = None) -> str:
-    """Emit a minimal stroked SVG document for visual inspection."""
-    if stroke_width is None:
-        stroke_width = g.max_extent() / 128.0
+def graphic_to_svg(g: Graphic) -> str:
+    """Emit a minimal stroked SVG document for visual inspection, stroked
+    1/128 of the larger viewbox extent wide."""
+    stroke_width = g.max_extent() / 128.0
     vb = " ".join(_fmt(v) for v in g.viewbox)
     lines = [f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{vb}">']
     for path in g.paths:

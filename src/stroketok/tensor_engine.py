@@ -1,14 +1,17 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
-Just enough machinery to train the codec and the toy sequence model: 1-D
-convolutions and their transposes, elementwise ops, matmul, a linear layer,
-fused causal multi-head attention, softmax, layer norm, embedding lookup
-(row gather), row take/place, MSE (optionally weighted) and masked
-cross-entropy, stop-gradient, Adam, and the minibatch iterator both
-trainers share. Every recorded op stores a closure that scatters the
-incoming gradient to its parents; backward() walks the graph in reverse
-topological order, and a parent that records no gradient gets none
-computed.
+Just the machinery that training the codec and the toy sequence model
+runs: `add`, `sub`, `mul`, `relu`, `clip`, `reshape`, `concat`,
+`stop_gradient`, `take_rows` and its adjoint `place_rows`, `conv1d` and
+`conv_transpose1d`, `linear`, `embedding` (row gather), fused causal
+multi-head `attention`, `layer_norm`, `mse_loss` (optionally weighted),
+masked `cross_entropy`; then Adam (`optimizer_step`), the minibatch
+iterator both trainers share, and the STKT checkpoint container. Every
+recorded op stores a closure that scatters the incoming gradient to its
+parents; backward() walks the graph in reverse topological order, and a
+parent that records no gradient gets none computed. Ops that only tests
+build oracles from (matmul, transpose2d, softmax, narrow, sum_all,
+mean_all) live in `tests/oracle_ops.py`.
 
 Rows are time-major throughout. The sequence-model ops take leading axes:
 `linear`, `layer_norm`, `relu` and `add` act on (..., D) rows however many
@@ -92,43 +95,8 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # Operator sugar; wraps plain arrays/scalars as constants.
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
-    def __neg__(self):
-        return mul(self, _wrap(-1.0))
-
-
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _make(data, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
@@ -236,18 +204,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), bw)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeMismatch(f"matmul {a.data.shape} @ {b.data.shape}")
-    out_data = a.data @ b.data
-
-    def bw(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
-
-    return _make(out_data, (a, b), bw)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x (..., D) @ w (D, E) + b (E,), as one GEMM over every leading row."""
     xd, wd = x.data, w.data
@@ -307,31 +263,6 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _make(out_data, (x,), bw)
 
 
-def transpose2d(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeMismatch(f"transpose2d needs a matrix, got {x.data.shape}")
-    out_data = x.data.T.copy()
-
-    def bw(g):
-        _accum(x, g.T)
-
-    return _make(out_data, (x,), bw)
-
-
-def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
-    idx = [slice(None)] * x.data.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
-    out_data = x.data[idx].copy()
-
-    def bw(g):
-        full = np.zeros_like(x.data)
-        full[idx] = g
-        _accum(x, full)
-
-    return _make(out_data, (x,), bw)
-
-
 def take_rows(x: Tensor, rows: np.ndarray) -> Tensor:
     """x[rows] along the first axis; `rows` are distinct indices."""
     out_data = x.data[rows]
@@ -369,25 +300,6 @@ def concat(xs: list[Tensor], axis: int = 0) -> Tensor:
             off += s
 
     return _make(out_data, tuple(xs), bw)
-
-
-def sum_all(x: Tensor) -> Tensor:
-    out_data = np.array(x.data.sum())
-
-    def bw(g):
-        _accum(x, np.full_like(x.data, float(g)))
-
-    return _make(out_data, (x,), bw)
-
-
-def mean_all(x: Tensor) -> Tensor:
-    n = x.data.size
-    out_data = np.array(x.data.mean())
-
-    def bw(g):
-        _accum(x, np.full_like(x.data, float(g) / n))
-
-    return _make(out_data, (x,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -623,26 +535,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, start: int = 0) -> Te
     return _make(out_data, (q, k, v), bw)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def bw(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        _accum(x, y * (g - dot))
-
-    return _make(y, (x,), bw)
+# added to the variance before the square root
+_LN_EPS = 1e-5
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
     # mean and variance as np.mean and np.var compute them, without their
     # per-call overhead
     n = x.data.shape[-1]
     xc = x.data - x.data.sum(axis=-1, keepdims=True) / n
     var = (xc * xc).sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = xc * inv
     out_data = xhat * gain.data + bias.data
 
@@ -729,7 +633,6 @@ class ParameterStore:
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
-        self._frozen: set[str] = set()
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self._t = 0
@@ -739,9 +642,7 @@ class ParameterStore:
             raise ValueError(f"duplicate parameter {name!r}")
         t = Tensor(np.array(array, dtype=np.float64), requires_grad=not frozen)
         self._params[name] = t
-        if frozen:
-            self._frozen.add(name)
-        else:
+        if not frozen:
             self._m[name] = np.zeros_like(t.data)
             self._v[name] = np.zeros_like(t.data)
         return t
@@ -749,18 +650,9 @@ class ParameterStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def names(self) -> list[str]:
-        return list(self._params)
-
-    def is_frozen(self, name: str) -> bool:
-        return name in self._frozen
-
     def trainable(self):
         for name, t in self._params.items():
-            if name not in self._frozen:
+            if t.requires_grad:
                 yield name, t
 
     def zero_grads(self) -> None:
@@ -798,32 +690,32 @@ class ParameterStore:
             t.data = np.array(state[name], dtype=np.float64)
 
 
-def optimizer_step(
-    store: ParameterStore,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+# Adam's moment decays and denominator offset (Kingma & Ba's defaults)
+_BETA1 = 0.9
+_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+
+
+def optimizer_step(store: ParameterStore, lr: float) -> None:
     """One Adam update over every trainable parameter; grads are cleared."""
     present = [name for name, t in store.trainable() if t.grad is not None]
     if not present:
         raise NoGradient("optimizer_step called before backward")
     store._t += 1
     t_step = store._t
-    bc1 = 1.0 - beta1**t_step
-    bc2 = 1.0 - beta2**t_step
+    bc1 = 1.0 - _BETA1**t_step
+    bc2 = 1.0 - _BETA2**t_step
     for name, p in store.trainable():
         if p.grad is None:
             continue
         g = p.grad
         m = store._m[name]
         v = store._v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * (g * g)
+        p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
     store.zero_grads()
 
 

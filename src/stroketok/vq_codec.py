@@ -629,16 +629,18 @@ def batch_loss(
     return total, l_cb, l_commit, l_recon, latents
 
 
-def _kmeans(
-    data: np.ndarray, k: int, rng: np.random.Generator, iters: int = 10
-) -> np.ndarray:
+# Lloyd iterations per codebook level
+_KMEANS_ITERS = 10
+
+
+def _kmeans(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = data.shape[0]
     if n >= k:
         centers = data[rng.choice(n, size=k, replace=False)].copy()
     else:
         centers = data[rng.integers(0, n, size=k)].copy()
         centers += rng.normal(0.0, 1e-4, size=centers.shape)
-    for _ in range(iters):
+    for _ in range(_KMEANS_ITERS):
         assign = _nearest(data, centers)
         # each cluster's members as one contiguous slice, in data order
         grouped = data[np.argsort(assign, kind="stable")]
@@ -900,7 +902,8 @@ def save_vq_checkpoint(
 def load_vq_checkpoint(path: str) -> tuple[ParameterStore, Codebook, CodecConfig]:
     """Inverse of `save_vq_checkpoint`. The config comes back whole except
     `target_recon`, a training-only stop rule that is not stored: the loaded
-    config has None there."""
+    config has None there. Each level's usage entry must hold codebook_size
+    non-negative integer counts."""
     named = te.load_named_tensors(path)
     values = te.config_values(CodecConfig, named, "config", path)
     channels = te.checkpoint_entry(named, "config.channels", path, ndim=1)
@@ -910,17 +913,25 @@ def load_vq_checkpoint(path: str) -> tuple[ParameterStore, Codebook, CodecConfig
     cfg = CodecConfig(
         **values, channels=tuple(int(c) for c in channels), fixer=_FIXER_NAMES[code]
     )
+    usage_keys = [f"codebook.usage{level}" for level in range(cfg.rvq_depth)]
+    usage = []
+    for key in usage_keys:
+        counts = te.checkpoint_entry(named, key, path, ndim=1)
+        if counts.shape != (cfg.codebook_size,) or not np.all(
+            (counts >= 0) & (counts < 2.0**63) & (counts == np.floor(counts))
+        ):
+            raise te.CorruptCheckpoint(
+                f"{path}: checkpoint entry {key!r} must hold {cfg.codebook_size} "
+                f"non-negative integer counts (shape {counts.shape})"
+            )
+        usage.append(counts.astype(np.int64))
     store = init_codec_params(cfg, np.random.default_rng(cfg.seed))
-    params = {k: v for k, v in named.items() if not k.startswith("config.")}
-    usage_arrays = {
-        k: v for k, v in params.items() if k.startswith("codebook.usage")
+    params = {
+        k: v
+        for k, v in named.items()
+        if not k.startswith("config.") and k not in usage_keys
     }
-    for k in usage_arrays:
-        params.pop(k)
     store.load_state_dict(params, path)
     codebook = make_codebook(cfg, store)
-    for level in range(cfg.rvq_depth):
-        key = f"codebook.usage{level}"
-        if key in usage_arrays:
-            codebook.usage[level][:] = usage_arrays[key].astype(np.int64)
+    codebook.usage = usage
     return store, codebook, cfg

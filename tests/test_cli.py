@@ -183,6 +183,30 @@ def rewrite_checkpoint(src, dst, drop=(), replace=None):
     return dst
 
 
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("ckpt_dir", "Is a directory"),
+        ('{"viewbox": [0, 0, 8, 8]}', "an object holding viewbox and paths"),
+        ('[[["M", 0, 0, 0, 0, 0, 0, 1, 1]]]', "an object holding viewbox and paths"),
+        ('{"viewbox": [0, 0, 8, 8], "paths": [[1, 2]]}', "each a list of command rows"),
+    ],
+)
+def test_bad_tokenize_input_exits_1_with_one_line(pipeline, capsys, case, message):
+    d = pipeline
+    ckpt, graphic = d / "vq.ckpt", sorted((d / "corpus").glob("*.json"))[0]
+    if case == "ckpt_dir":
+        ckpt = d / "corpus"
+    else:
+        graphic = d / "bad_graphic.json"
+        graphic.write_text(case)
+    capsys.readouterr()
+    assert cli.main(["tokenize", "--ckpt", str(ckpt), "--in", str(graphic),
+                     "--out", str(d / "bad_input.tok")]) == 1
+    assert message in assert_one_error_line(capsys)
+    assert not (d / "bad_input.tok").exists()
+
+
 def assert_error_names(capsys, path, message):
     line = assert_one_error_line(capsys)
     assert f"{path}: " in line and message in line, line
@@ -251,6 +275,25 @@ def test_checkpoint_parameters_must_match_the_model(pipeline, capsys):
         assert cli.main(["generate", "--lm", str(d / "lm.ckpt"), "--vq", str(bad),
                          "--keywords", "circle", "--out", str(d / "bad.json")]) == 1
         assert_error_names(capsys, bad, message)
+    # usage counts: codebook_size (16) of them per level, for levels 0 and 1
+    usage = np.arange(16.0)
+    usage_cases = [
+        ({"codebook.usage7": usage}, "unknown entry 'codebook.usage7'"),
+        ({"codebook.usage0": np.where(usage == 3, np.nan, usage)},
+         "entry 'codebook.usage0' is not a finite 1-d array"),
+        ({"codebook.usage1": usage[:5]}, "entry 'codebook.usage1' must hold 16 non-negative"),
+        ({"codebook.usage1": usage - 1}, "entry 'codebook.usage1' must hold 16 non-negative"),
+        ({"codebook.usage0": usage + 0.5}, "entry 'codebook.usage0' must hold 16 non-negative"),
+    ]
+    for i, (replace, message) in enumerate(usage_cases):
+        bad = rewrite_checkpoint(d / "vq.ckpt", d / f"vq_usage{i}.ckpt", replace=replace)
+        assert cli.main(["detokenize", "--ckpt", str(bad), "--in", str(tok),
+                         "--out", str(d / "bad.json")]) == 1
+        assert_error_names(capsys, bad, message)
+    bad = rewrite_checkpoint(d / "vq.ckpt", d / "vq_no_usage.ckpt", drop=["codebook.usage1"])
+    assert cli.main(["detokenize", "--ckpt", str(bad), "--in", str(tok),
+                     "--out", str(d / "bad.json")]) == 1
+    assert_error_names(capsys, bad, "no 'codebook.usage1' entry")
     lm_cases = [
         (rewrite_checkpoint(d / "lm.ckpt", d / "lm_extra.ckpt", replace={"w": np.ones(3)}),
          "unknown entry 'w'"),

@@ -144,6 +144,28 @@ def test_a_bad_value_exits_1_with_one_line(tmp_path, capsys):
     assert not (tmp_path / "vq.ckpt").exists() and not (tmp_path / "lm.ckpt").exists()
 
 
+@pytest.mark.parametrize(
+    "text, names",
+    [
+        # a value that does not parse names its key and its line
+        ("steps = 1\nsteps = abc\n", ["line 2", "'steps'"]),
+        # an LmConfig check names the config keys, not the LmConfig fields
+        ("lm_heads = 3\n", ["lm_embed_dim", "lm_heads"]),
+    ],
+)
+def test_a_bad_value_names_its_key(tmp_path, capsys, text, names):
+    p = tmp_path / "bad.cfg"
+    p.write_text(text)
+    capsys.readouterr()
+    for command in ("train-vq", "train-lm"):
+        assert cli.main([command, "--corpus" if command == "train-vq" else "--tokens",
+                         str(tmp_path), "--config", str(p),
+                         "--out", str(tmp_path / "out.ckpt")]) == 1
+        line = one_error_line(capsys)
+        assert all(name in line for name in names), line
+        assert " embed_dim" not in line, line
+
+
 def test_checkpoints_store_every_scalar_field(tmp_path):
     """Every int and float field of the three dataclasses, each away from
     its default, survives its checkpoint; a field that drops out of the

@@ -450,7 +450,7 @@ def test_checkpoint_round_trip(tmp_path):
     save_vq_checkpoint(str(p), store, codebook, cfg)
     store2, codebook2, cfg2 = load_vq_checkpoint(str(p))
     assert cfg2 == cfg
-    for name in store.names():
+    for name in store.state_dict():
         assert np.array_equal(store[name].data, store2[name].data)
     g = gen_synthetic(1, 31)[0]
     s1 = tokenize(g, store, codebook, cfg)
@@ -471,7 +471,7 @@ def test_checkpoint_with_the_retired_loss_names_entry_loads(tmp_path):
     save_named_tensors(str(p), named)
     store2, codebook2, cfg2 = load_vq_checkpoint(str(p))
     assert cfg2 == cfg
-    for name in store.names():
+    for name in store.state_dict():
         assert np.array_equal(store[name].data, store2[name].data)
     for u, u2 in zip(codebook.usage, codebook2.usage):
         assert np.array_equal(u, u2)
@@ -781,8 +781,8 @@ def per_sample_step(matrices, cfg, store, codebook):
         relu,
         stop_gradient,
         sub,
-        transpose2d,
     )
+    from oracle_ops import transpose2d
 
     p = (cfg.kernel_size - 2) // 2
 
@@ -843,7 +843,7 @@ def random_codec(cfg, seed):
     would carry non-zero values wherever a mask is missing."""
     rng = np.random.default_rng(seed)
     store = init_codec_params(cfg, rng)
-    for name in store.names():
+    for name in store.state_dict():
         t = store[name]
         if name.startswith("codebook") or name.endswith((".b", ".b1", ".b2")):
             t.data = rng.normal(0.0, 0.5, size=t.data.shape)
