@@ -54,6 +54,7 @@ from .svg_io import (
 from .tensor_engine import CHECKPOINT_FORMAT_VERSION
 from .vq_codec import (
     TOKEN_FORMAT_VERSION,
+    check_layout,
     detokenize,
     load_tokens,
     load_vq_checkpoint,
@@ -202,6 +203,7 @@ def cmd_tokenize(ns) -> int:
 def cmd_detokenize(ns) -> int:
     store, codebook, cfg = load_vq_checkpoint(ns.ckpt)
     seq = load_tokens(ns.in_path)
+    check_layout(ns.in_path, seq.layout, ns.ckpt, cfg.layout)
     if ns.meta:
         meta_g = _load_graphic_file(Path(ns.meta))
         seq.meta["viewbox"] = list(meta_g.viewbox)
@@ -222,6 +224,7 @@ def cmd_train_lm(ns) -> int:
     if not tok_files:
         raise StroketokError(f"no .tok files in {tokens_dir}")
     pairs = []
+    first = None  # (path, layout) of the first token file read
     for p in tok_files:
         side = corpus_dir / f"{p.stem}.json"
         if not side.exists():
@@ -231,7 +234,10 @@ def cmd_train_lm(ns) -> int:
         if not g.keywords:
             log.warning("empty keywords for %s; skipped", p.stem)
             continue
-        pairs.append((list(g.keywords), load_tokens(str(p))))
+        seq = load_tokens(str(p))
+        first = first or (str(p), seq.layout)
+        check_layout(str(p), seq.layout, *first)
+        pairs.append((list(g.keywords), seq))
     if not pairs:
         raise StroketokError("no usable (keywords, tokens) pairs")
     store, vocab, logs = train_lm(pairs, cfg)
@@ -248,6 +254,7 @@ def cmd_train_lm(ns) -> int:
 def cmd_generate(ns) -> int:
     lm_store, vocab, lm_cfg = load_lm_checkpoint(ns.lm)
     vq_store, codebook, vq_cfg = load_vq_checkpoint(ns.vq)
+    check_layout(ns.lm, vocab.layout, ns.vq, vq_cfg.layout)
     if ns.temperature is not None:
         lm_cfg.temperature = ns.temperature
     if ns.top_k is not None:

@@ -22,7 +22,6 @@ from .model import (
     BasicCommand,
     Graphic,
     Path,
-    bounding_box,
 )
 
 TYPE_CODES = {MOVE: -1.0, LINE: 0.0, CUBIC: 1.0}
@@ -109,7 +108,7 @@ def snap_type(value: float) -> str:
 
 def from_matrix(
     m: StrokeMatrix,
-    viewbox: tuple[float, float, float, float] | None = None,
+    viewbox: tuple[float, float, float, float],
     keywords: tuple[str, ...] = (),
 ) -> Graphic:
     """Total inverse of to_matrix for arbitrary (decoder-output) matrices.
@@ -144,8 +143,6 @@ def from_matrix(
             current.append(cmd)
     if current:
         paths.append(Path(tuple(current)))
-    if viewbox is None:
-        viewbox = bounding_box(c for p in paths for c in p.commands)
     return Graphic(paths=tuple(paths), viewbox=viewbox, keywords=keywords)
 
 

@@ -1,8 +1,9 @@
 """Minimal monochrome rasterizer for simplified graphics.
 
-Cubics are flattened by recursive midpoint subdivision until the control
-points sit within 0.25 px of the chord, then every segment is drawn with an
-integer Bresenham walk and optionally dilated to the requested stroke width.
+Cubics are flattened (`flatten_cubic`) by recursive midpoint subdivision
+until the control points sit within FLATNESS_PX = 0.25 px of the chord, then
+every segment is drawn with an integer Bresenham walk and optionally dilated
+to the requested stroke width.
 MoveTo draws nothing. Bitmaps are boolean res x res grids, True = stroke on
 a white background.
 
@@ -47,10 +48,11 @@ def _flatten_cubic(p0, p1, p2, p3, flatness: float, depth: int, out: list) -> No
     _flatten_cubic(mid, m123, m23, p3, flatness, depth + 1, out)
 
 
-def flatten_cubic(p0: Point, p1: Point, p2: Point, p3: Point, flatness: float = FLATNESS_PX) -> list[Point]:
-    """Polyline vertices approximating the cubic, starting at p0."""
+def flatten_cubic(p0: Point, p1: Point, p2: Point, p3: Point) -> list[Point]:
+    """Polyline vertices approximating the cubic within FLATNESS_PX,
+    starting at p0."""
     out: list[Point] = [p0]
-    _flatten_cubic(p0, p1, p2, p3, flatness, 0, out)
+    _flatten_cubic(p0, p1, p2, p3, FLATNESS_PX, 0, out)
     return out
 
 

@@ -123,6 +123,11 @@ class Vocab:
     def keyword_vocab(self) -> int:
         return len(self.keyword_words)
 
+    @property
+    def layout(self) -> tuple[int, int, int]:
+        """The (d, B, stages) layout of the stroke tokens it was built on."""
+        return (self.rvq_depth, self.codebook_size, self.stages)
+
     def keyword_id(self, word: str) -> int:
         return self._kw_ids.get(word, 0)
 
@@ -377,7 +382,7 @@ def sample_from_logits(
     row: np.ndarray,
     temperature: float,
     top_k: int,
-    rng: np.random.Generator | None,
+    rng: np.random.Generator,
 ) -> int:
     """One draw. temperature 0 = argmax (ties to the lowest id)."""
     if temperature <= 0.0:
@@ -397,13 +402,13 @@ def generate(
     store: ParameterStore,
     vocab: Vocab,
     cfg: LmConfig,
-    rng: np.random.Generator | None = None,
 ) -> StrokeTokenSeq:
     """Autoregressive sampling until EOS or the length cap.
 
     temperature == 0 means argmax (deterministic, ties to the lowest id);
     otherwise softmax sampling at the given temperature over the top_k ids
-    (0 = all). PAD/BOS can never be emitted.
+    (0 = all), drawing from a generator seeded with cfg.seed. PAD/BOS can
+    never be emitted.
 
     One `forward_logits` call runs the prompt and BOS (the prefill) into a
     per-layer K/V cache; each later call runs only the token just emitted,
@@ -411,8 +416,7 @@ def generate(
     number.
     """
     prompt_ids = build_prompt(keywords, vocab)
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     out: list[int] = []
     truncated = False
     cache: dict = {}
@@ -432,11 +436,9 @@ def generate(
             out.append(nxt)
             context, new_ids = [], [nxt]
     # drop any trailing partial frame so detokenize sees whole timesteps
-    depth = vocab.rvq_depth
-    usable = len(out) - (len(out) % depth)
+    usable = len(out) - (len(out) % vocab.rvq_depth)
     return StrokeTokenSeq(
         tokens=out[:usable],
-        latent_len=usable // depth,
         meta={
             "rvq_depth": vocab.rvq_depth,
             "codebook_size": vocab.codebook_size,

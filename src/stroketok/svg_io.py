@@ -21,7 +21,7 @@ import logging
 import math
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .model import (
     Point,
     bounding_box,
     cubic_cmd,
-    fill_controls,
     line_cmd,
     move_cmd,
 )
@@ -76,6 +75,11 @@ def _ellipse_subpath(cx: float, cy: float, rx: float, ry: float) -> list[BasicCo
     return cmds
 
 
+def _polyline(pts: list[Point]) -> list[BasicCommand]:
+    """MoveTo the first point, then one LineTo to each later point."""
+    return [move_cmd(pts[0], pts[0])] + [line_cmd(a, b) for a, b in zip(pts, pts[1:])]
+
+
 def _shape_subpaths(tag: str, el: ET.Element) -> list[list[BasicCommand]]:
     def attr(name: str, default: float = 0.0) -> float:
         raw = el.get(name)
@@ -98,14 +102,7 @@ def _shape_subpaths(tag: str, el: ET.Element) -> list[list[BasicCommand]]:
                 f"L {x} {y + ry} A {rx} {ry} 0 0 1 {x + rx} {y} Z"
             )
             return parse_path_data(d)
-        p = (x, y)
-        cmds = [move_cmd(p, p)]
-        corners = [(x + w, y), (x + w, y + h), (x, y + h), (x, y)]
-        cur = p
-        for c in corners:
-            cmds.append(line_cmd(cur, c))
-            cur = c
-        return [cmds]
+        return [_polyline([(x, y), (x + w, y), (x + w, y + h), (x, y + h), (x, y)])]
     if tag == "circle":
         r = attr("r")
         if r <= 0:
@@ -128,42 +125,20 @@ def _shape_subpaths(tag: str, el: ET.Element) -> list[list[BasicCommand]]:
         pts = [(vals[i], vals[i + 1]) for i in range(0, len(vals), 2)]
         if len(pts) < 2:
             return []
-        cmds = [move_cmd(pts[0], pts[0])]
-        cur = pts[0]
-        for p in pts[1:]:
-            cmds.append(line_cmd(cur, p))
-            cur = p
-        if tag == "polygon" and cur != pts[0]:
-            cmds.append(line_cmd(cur, pts[0]))
-        return [cmds]
+        if tag == "polygon" and pts[-1] != pts[0]:
+            pts.append(pts[0])
+        return [_polyline(pts)]
     return []
-
-
-def _chain_subpaths(subpaths: list[list[BasicCommand]]) -> tuple[Path, ...]:
-    """Apply the pen rule: each path-leading MoveTo begins at the previous
-    path's end point; the very first command begins at its own end."""
-    paths: list[Path] = []
-    pen: Point | None = None
-    for sub in subpaths:
-        if not sub:
-            continue
-        head = sub[0]
-        if head.cmd_type == MOVE:
-            begin = pen if pen is not None else head.end
-            c0, c1 = fill_controls(begin, head.end)
-            sub = [BasicCommand(MOVE, begin, c0, c1, head.end)] + sub[1:]
-        paths.append(Path(tuple(sub)))
-        pen = sub[-1].end
-    return tuple(paths)
 
 
 def parse_svg(text: str) -> Graphic:
     """Parse an SVG document into a lowered Graphic.
 
     All path syntax and supported shape elements are reduced to M/L/C during
-    parsing. Unsupported drawables are skipped with a warning. The viewbox
-    comes from the document's viewBox attribute, or the geometry's bounding
-    box when absent.
+    parsing, and `simplify` chains each path's leading MoveTo to the previous
+    path's end (the pen rule). Unsupported drawables are skipped with a
+    warning. The viewbox comes from the document's viewBox attribute, or the
+    chained geometry's bounding box when absent.
     """
     try:
         root = ET.fromstring(text)
@@ -197,21 +172,19 @@ def parse_svg(text: str) -> Graphic:
 
     walk(root)
 
-    if not subpaths or not any(sub for sub in subpaths):
+    if not subpaths:
         raise EmptyGraphic("document has no drawable content")
 
-    paths = _chain_subpaths(subpaths)
-
     vb_attr = root.get("viewBox")
+    vals = _floats(vb_attr) if vb_attr else []
+    if vb_attr and (len(vals) != 4 or vals[2] <= 0 or vals[3] <= 0):
+        raise MalformedSvg(f"invalid viewBox {vb_attr!r}")
+    paths = tuple(Path(tuple(sub)) for sub in subpaths)
+    g = simplify(Graphic(paths=paths, viewbox=(0.0, 0.0, 1.0, 1.0)))
+    # the document's viewBox, or the chained geometry's bounding box
     if vb_attr:
-        vals = _floats(vb_attr)
-        if len(vals) != 4 or vals[2] <= 0 or vals[3] <= 0:
-            raise MalformedSvg(f"invalid viewBox {vb_attr!r}")
-        viewbox = (vals[0], vals[1], vals[2], vals[3])
-    else:
-        viewbox = bounding_box(c for p in paths for c in p.commands)
-
-    return Graphic(paths=paths, viewbox=viewbox, keywords=())
+        return replace(g, viewbox=(vals[0], vals[1], vals[2], vals[3]))
+    return replace(g, viewbox=bounding_box(g.all_commands()))
 
 
 def simplify(g: Graphic) -> Graphic:
@@ -430,12 +403,12 @@ def gen_synthetic(n: int, seed: int) -> list[Graphic]:
     for _ in range(n):
         family = _FAMILIES[int(rng.integers(0, len(_FAMILIES)))]
         n_shapes = int(rng.integers(1, 3))
-        subpaths: list[list[BasicCommand]] = []
+        paths: list[Path] = []
         keywords: list[str] = []
         for _ in range(n_shapes):
             if family == "circle":
                 path, kws = _synth_circle(rng)
-                subpaths.append(list(path.commands))
+                paths.append(path)
             else:
                 fn = {
                     "polyline": _synth_polyline,
@@ -443,18 +416,11 @@ def gen_synthetic(n: int, seed: int) -> list[Graphic]:
                     "star": _synth_star,
                 }[family]
                 point_lists, kws = fn(rng)
-                for pts in point_lists:
-                    cmds = [move_cmd(pts[0], pts[0])]
-                    cur = pts[0]
-                    for p in pts[1:]:
-                        cmds.append(line_cmd(cur, p))
-                        cur = p
-                    subpaths.append(cmds)
+                paths.extend(Path(tuple(_polyline(pts))) for pts in point_lists)
             if not keywords:
                 keywords = kws
-        g = Graphic(
-            paths=_chain_subpaths(subpaths), viewbox=_VIEW, keywords=tuple(keywords)
-        )
+        # simplify applies the pen rule across the shapes
+        g = Graphic(paths=tuple(paths), viewbox=_VIEW, keywords=tuple(keywords))
         out.append(simplify(g))
     return out
 
@@ -494,19 +460,31 @@ def load_graphic(text: str) -> Graphic:
     vb = obj["viewbox"]
     if not isinstance(vb, list) or len(vb) != 4:
         raise ValueError("viewbox must have 4 numbers")
+    try:
+        vb = [float(v) for v in vb]
+    except (TypeError, ValueError):
+        raise ValueError(f"viewbox must be numbers, got {vb!r}") from None
+    keywords = obj.get("keywords", [])
+    if not isinstance(keywords, list) or not all(isinstance(k, str) for k in keywords):
+        raise ValueError("keywords must be a list of strings")
     if not isinstance(obj["paths"], list) or not all(
         isinstance(rows, list) and all(isinstance(row, list) and row for row in rows)
         for rows in obj["paths"]
     ):
         raise ValueError("paths must be a list of paths, each a list of command rows")
     paths = []
-    for rows in obj["paths"]:
+    for i, rows in enumerate(obj["paths"]):
         cmds = []
-        for row in rows:
+        for j, row in enumerate(rows):
             t = row[0]
             if t not in BASIC_TYPES:
                 raise ValueError(f"unknown command type {t!r}")
-            nums = [float(v) for v in row[1:]]
+            try:
+                nums = [float(v) for v in row[1:]]
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"coordinates of paths[{i}][{j}] must be numbers, got {row[1:]!r}"
+                ) from None
             if len(nums) != 8:
                 raise ValueError("command row must hold a type and 8 numbers")
             cmds.append(
@@ -522,7 +500,7 @@ def load_graphic(text: str) -> Graphic:
     return Graphic(
         paths=tuple(paths),
         viewbox=(vb[0], vb[1], vb[2], vb[3]),
-        keywords=tuple(obj.get("keywords", [])),
+        keywords=tuple(keywords),
     )
 
 

@@ -1,17 +1,17 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
 Just the machinery that training the codec and the toy sequence model
-runs: `add`, `sub`, `mul`, `relu`, `clip`, `reshape`, `concat`,
-`stop_gradient`, `take_rows` and its adjoint `place_rows`, `conv1d` and
-`conv_transpose1d`, `linear`, `embedding` (row gather), fused causal
-multi-head `attention`, `layer_norm`, `mse_loss` (optionally weighted),
-masked `cross_entropy`; then Adam (`optimizer_step`), the minibatch
-iterator both trainers share, and the STKT checkpoint container. Every
-recorded op stores a closure that scatters the incoming gradient to its
-parents; backward() walks the graph in reverse topological order, and a
-parent that records no gradient gets none computed. Ops that only tests
-build oracles from (matmul, transpose2d, softmax, narrow, sum_all,
-mean_all) live in `tests/oracle_ops.py`.
+runs: `add`, `mul`, `relu`, `clip`, `reshape`, `concat`, `stop_gradient`,
+`take_rows` and its adjoint `place_rows`, `conv1d` and `conv_transpose1d`
+(both with a bias), `linear`, `embedding` (row gather), fused causal
+multi-head `attention`, `layer_norm`, weighted `mse_loss`, masked
+`cross_entropy`; then Adam (`optimizer_step`), the minibatch iterator both
+trainers share, and the STKT checkpoint container. Every recorded op stores
+a closure that scatters the incoming gradient to its parents; backward()
+walks the graph in reverse topological order, and a parent that records no
+gradient gets none computed. Ops that only tests build oracles from (sub,
+matmul, transpose2d, softmax, narrow, sum_all, mean_all) live in
+`tests/oracle_ops.py`.
 
 Rows are time-major throughout. The sequence-model ops take leading axes:
 `linear`, `layer_norm`, `relu` and `add` act on (..., D) rows however many
@@ -180,18 +180,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), bw)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data - b.data
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g, b.data.shape))
-
-    return _make(out_data, (a, b), bw)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
 
@@ -347,11 +335,7 @@ def _col2im(cols: np.ndarray, k: int, stride: int, length: int) -> np.ndarray:
 
 
 def conv1d(
-    x: Tensor,
-    kernel: Tensor,
-    bias: Tensor | None = None,
-    stride: int = 1,
-    padding: int = 0,
+    x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
 ) -> Tensor:
     """1-D cross-correlation over time-major rows. x: (L, C_in), kernel:
     (C_out, C_in, K), output (T, C_out).
@@ -380,31 +364,23 @@ def conv1d(
     cols = _im2col(xp, k, stride, t_out)
     w2 = kd.transpose(2, 1, 0).reshape(k * c_in, c_out)
     out_data = cols @ w2
-    if bias is not None:
-        out_data += bias.data
-
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    out_data += bias.data
 
     def bw(g):
         if kernel.requires_grad:
             dk = (cols.T @ g).reshape(k, c_in, c_out).transpose(2, 1, 0)
             # contiguous, so Adam's elementwise updates run at full speed
             _accum(kernel, np.ascontiguousarray(dk))
-        if bias is not None:
-            _accum(bias, g.sum(axis=0))
+        _accum(bias, g.sum(axis=0))
         if x.requires_grad:
             dxp = _col2im(g @ w2.T, k, stride, lp)
             _accum(x, dxp[padding : padding + length])
 
-    return _make(out_data, parents, bw)
+    return _make(out_data, (x, kernel, bias), bw)
 
 
 def conv_transpose1d(
-    x: Tensor,
-    kernel: Tensor,
-    bias: Tensor | None = None,
-    stride: int = 1,
-    padding: int = 0,
+    x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
 ) -> Tensor:
     """Gradient-of-conv semantics over time-major rows. x: (L, C_in),
     kernel: (C_in, C_out, K), output (L_out, C_out).
@@ -428,11 +404,7 @@ def conv_transpose1d(
 
     w2 = kd.transpose(0, 2, 1).reshape(c_in, k * c_out)
     full = _col2im(xd @ w2, k, stride, l_full)
-    out_data = full[padding : padding + l_out]
-    if bias is not None:
-        out_data = out_data + bias.data
-
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    out_data = full[padding : padding + l_out] + bias.data
 
     def bw(g):
         if padding:
@@ -444,12 +416,11 @@ def conv_transpose1d(
         if kernel.requires_grad:
             dk = (xd.T @ gwin).reshape(c_in, k, c_out).transpose(0, 2, 1)
             _accum(kernel, np.ascontiguousarray(dk))
-        if bias is not None:
-            _accum(bias, g.sum(axis=0))
+        _accum(bias, g.sum(axis=0))
         if x.requires_grad:
             _accum(x, gwin @ w2.T)
 
-    return _make(out_data, parents, bw)
+    return _make(out_data, (x, kernel, bias), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -563,25 +534,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _make(out_data, (x, gain, bias), bw)
 
 
-def mse_loss(a: Tensor, b: Tensor, weight: np.ndarray | None = None) -> Tensor:
-    """Mean of squared differences; gradients flow to both sides.
-
-    With `weight` (broadcast against a), the weighted sum
-    sum(weight * (a - b)^2) instead of the mean.
+def mse_loss(a: Tensor, b: Tensor, weight: np.ndarray) -> Tensor:
+    """Weighted sum of squared differences, sum(weight * (a - b)^2), with
+    `weight` broadcast against a; gradients flow to both sides. A weight of
+    1 / a.size everywhere gives the plain mean.
     """
     if a.data.shape != b.data.shape:
         raise ShapeMismatch(f"mse {a.data.shape} vs {b.data.shape}")
     diff = a.data - b.data
-    if weight is None:
-        out_data = np.array((diff * diff).mean())
-    else:
-        out_data = np.array((weight * diff * diff).sum())
+    out_data = np.array((weight * diff * diff).sum())
 
     def bw(g):
-        if weight is None:
-            scaled = (2.0 * float(g) / diff.size) * diff
-        else:
-            scaled = (2.0 * float(g) * weight) * diff
+        scaled = (2.0 * float(g) * weight) * diff
         if a.requires_grad:
             _accum(a, scaled)
         if b.requires_grad:
@@ -590,21 +554,18 @@ def mse_loss(a: Tensor, b: Tensor, weight: np.ndarray | None = None) -> Tensor:
     return _make(out_data, (a, b), bw)
 
 
-def cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
+def cross_entropy(logits: Tensor, targets, mask) -> Tensor:
     """Mean negative log-likelihood over unmasked positions.
 
-    logits (S, V); targets int (S,); mask float (S,) or None. The mask
-    weighs each position: the loss is sum(mask * nll) / sum(mask), and
-    positions with mask 0 contribute exactly zero loss and zero gradient.
+    logits (S, V); targets int (S,); mask float (S,). The mask weighs each
+    position: the loss is sum(mask * nll) / sum(mask), and positions with
+    mask 0 contribute exactly zero loss and zero gradient.
     """
     targets = np.asarray(targets, dtype=np.int64)
     ld = logits.data
     if ld.ndim != 2 or targets.shape != (ld.shape[0],):
         raise ShapeMismatch(f"cross_entropy logits{ld.shape} targets{targets.shape}")
-    if mask is None:
-        m = np.ones(ld.shape[0])
-    else:
-        m = np.asarray(mask, dtype=np.float64)
+    m = np.asarray(mask, dtype=np.float64)
     denom = m.sum()
     if denom <= 0:
         raise ShapeMismatch("cross_entropy mask selects no positions")

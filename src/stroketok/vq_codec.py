@@ -51,7 +51,6 @@ from .tensor_engine import (
     place_rows,
     relu,
     stop_gradient,
-    sub,
     take_rows,
 )
 
@@ -81,6 +80,10 @@ class BadTokenId(StroketokError):
 
 class MalformedTokens(StroketokError):
     """A token file whose header or token lines do not parse."""
+
+
+class LayoutMismatch(StroketokError):
+    """Token ids of one (d, B, stages) layout read against another."""
 
 
 @dataclass
@@ -116,16 +119,20 @@ class CodecConfig:
             raise ValueError(f"fixer must be one of {sorted(_FIXER_CODES)}")
         if self.kernel_size < 2 or self.kernel_size % 2:
             raise ValueError("kernel_size must be even (exact stride-2 doubling)")
+        # one width per compression stage: the last width repeats, and an
+        # empty tuple means 64
+        ch = tuple(self.channels) or (64,)
+        stages = self.compression_stages
+        self.channels = (ch + ch[-1:] * stages)[:stages]
 
     @property
     def rate(self) -> int:
         return 2**self.compression_stages
 
-    def stage_channels(self) -> list[int]:
-        ch = list(self.channels) or [64]
-        while len(ch) < self.compression_stages:
-            ch.append(ch[-1])
-        return ch[: self.compression_stages]
+    @property
+    def layout(self) -> tuple[int, int, int]:
+        """The (d, B, stages) layout of this codec's token ids."""
+        return (self.rvq_depth, self.codebook_size, self.compression_stages)
 
 
 @dataclass
@@ -158,8 +165,12 @@ class Codebook:
 @dataclass
 class StrokeTokenSeq:
     tokens: list[int]
-    latent_len: int
     meta: dict = field(default_factory=dict)
+
+    @property
+    def layout(self) -> tuple[int, int, int]:
+        """The (d, B, stages) layout its meta records."""
+        return (self.meta["rvq_depth"], self.meta["codebook_size"], self.meta["stages"])
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +181,7 @@ class StrokeTokenSeq:
 def init_codec_params(cfg: CodecConfig, rng: np.random.Generator) -> ParameterStore:
     store = ParameterStore()
     k = cfg.kernel_size
-    ch = cfg.stage_channels()
+    ch = cfg.channels
 
     def conv_w(c_out, c_in, ksize):
         std = np.sqrt(2.0 / (c_in * ksize))
@@ -416,9 +427,6 @@ def _sq_distances(points: np.ndarray, entries: np.ndarray) -> np.ndarray:
     n, dim = points.shape
     b = entries.shape[0]
     chunk = max(1, int(4_000_000 / max(b * dim, 1)))
-    if n <= chunk:
-        diff = points[:, None, :] - entries[None, :, :]
-        return np.einsum("nbd,nbd->nb", diff, diff)
     out = np.empty((n, b))
     for s in range(0, n, chunk):
         diff = points[s : s + chunk, None, :] - entries[None, :, :]
@@ -513,7 +521,6 @@ def quantize_residual(
         raise EmptyCodebook("codebook has no levels")
     zt = z if isinstance(z, Tensor) else Tensor(z)
     residual = zt.data.copy()
-    t_len = residual.shape[0]
     size = codebook.size
     level_ids: list[np.ndarray] = []
     zq = None
@@ -532,15 +539,14 @@ def quantize_residual(
     ids = np.stack(level_ids, axis=1) + np.arange(codebook.depth) * size
     seq = StrokeTokenSeq(
         tokens=ids.ravel().tolist(),
-        latent_len=t_len,
         meta={"rvq_depth": codebook.depth, "codebook_size": size},
     )
     return zq, seq
 
 
 def straight_through(z: Tensor, zq: Tensor) -> Tensor:
-    """Forward value of zq, gradient of z."""
-    return add(z, stop_gradient(sub(zq, z)))
+    """Forward value of zq, gradient of z: z plus the constant zq - z."""
+    return add(z, Tensor(zq.data - z.data))
 
 
 def lookup_tokens(tokens: list[int], codebook: Codebook) -> np.ndarray:
@@ -573,30 +579,24 @@ def lookup_tokens(tokens: list[int], codebook: Codebook) -> np.ndarray:
 
 
 def codec_loss(
-    m: StrokeMatrix | np.ndarray,
-    recon: Tensor,
-    z: Tensor,
-    zq: Tensor,
-    alpha: float,
-    packing: Packing | None = None,
+    packing: Packing, recon: Tensor, z: Tensor, zq: Tensor, alpha: float
 ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
     """Three-term objective with the printed stop-gradient placement.
 
-    codebook term ||Z - sg[Zq]||^2 (mean) updates the encoder; commitment
-    term ||sg[Z] - Zq||^2 updates the codebook entries; reconstruction is
-    plain MSE. Total = alpha * (codebook + commit) + recon.
+    codebook term ||Z - sg[Zq]||^2 updates the encoder; commitment term
+    ||sg[Z] - Zq||^2 updates the codebook entries; reconstruction is the
+    squared error of recon against `packing.target`. Total = alpha *
+    (codebook + commit) + recon.
 
-    With a `packing`, the rows of m, recon, z and zq belong to its samples
-    in turn, and each term is each sample's mean, averaged over the samples.
+    The rows of recon, z and zq belong to the packing's samples in turn,
+    and each term is each sample's mean, averaged over the samples.
     """
-    target = m.rows if isinstance(m, StrokeMatrix) else np.asarray(m)
+    target = packing.target
     if target.shape != recon.data.shape:
         raise te.ShapeMismatch(f"recon {recon.data.shape} vs target {target.shape}")
-    w_latent = w_rows = None
-    if packing is not None:
-        n, latent = len(packing.lengths), packing.latent
-        w_latent = np.repeat(1.0 / (n * latent * z.data.shape[1]), latent)[:, None]
-        w_rows = np.repeat(1.0 / (n * packing.lengths * 9), packing.lengths)[:, None]
+    n, latent = len(packing.lengths), packing.latent
+    w_latent = np.repeat(1.0 / (n * latent * z.data.shape[1]), latent)[:, None]
+    w_rows = np.repeat(1.0 / (n * packing.lengths * 9), packing.lengths)[:, None]
     l_codebook = mse_loss(z, stop_gradient(zq), w_latent)
     l_commit = mse_loss(stop_gradient(z), zq, w_latent)
     l_recon = mse_loss(recon, Tensor(target), w_rows)
@@ -610,21 +610,19 @@ def batch_loss(
     cfg: CodecConfig,
     store: ParameterStore,
     codebook: Codebook,
-    update_usage: bool = False,
 ) -> tuple[Tensor, Tensor, Tensor, Tensor, list[np.ndarray]]:
     """One graph over a minibatch of scaled matrices: each sample's
-    `codec_loss`, averaged over the batch, from one packed pass.
+    `codec_loss`, averaged over the batch, from one packed pass. The
+    codebook's usage counters count the batch's entries.
 
     Returns the total, the codebook, commitment and reconstruction terms,
     and each sample's latent rows.
     """
     packing = Packing.of(matrices, cfg)
     z, _ = encode(packing, cfg, store)
-    zq, _ = quantize_residual(z, codebook, update_usage=update_usage)
+    zq, _ = quantize_residual(z, codebook, update_usage=True)
     recon = _decode_tensor(straight_through(z, zq), cfg, store, packing)
-    total, l_cb, l_commit, l_recon = codec_loss(
-        packing.target, recon, z, zq, cfg.alpha, packing
-    )
+    total, l_cb, l_commit, l_recon = codec_loss(packing, recon, z, zq, cfg.alpha)
     latents = np.split(z.data, np.cumsum(packing.latent)[:-1])
     return total, l_cb, l_commit, l_recon, latents
 
@@ -747,9 +745,7 @@ def train(
     batches = te.minibatches(n, cfg.batch_size, rng, order, before_epoch=new_epoch)
     for step, batch_idx in zip(range(cfg.steps), batches):
         batch = [corpus[int(i)] for i in batch_idx]
-        total, l_cb, l_commit, l_recon, latents = batch_loss(
-            batch, cfg, store, codebook, update_usage=True
-        )
+        total, l_cb, l_commit, l_recon, latents = batch_loss(batch, cfg, store, codebook)
 
         value = float(total.data)
         if not np.isfinite(value):
@@ -842,15 +838,28 @@ def detokenize(
 # ---------------------------------------------------------------------------
 
 
+def layout_text(layout: tuple[int, int, int]) -> str:
+    """A token layout (d, B, stages) as the token file header writes it."""
+    return "d={} B={} stages={}".format(*layout)
+
+
+def check_layout(
+    name: str, layout: tuple[int, int, int], other_name: str, other: tuple[int, int, int]
+) -> None:
+    """Raise LayoutMismatch, naming both sources and both layouts, unless
+    the token layouts of `name` and `other_name` are equal."""
+    if layout != other:
+        raise LayoutMismatch(
+            f"token layouts differ: {name} has {layout_text(layout)}, "
+            f"{other_name} has {layout_text(other)}"
+        )
+
+
 def save_tokens(seq: StrokeTokenSeq, path: str, cfg: CodecConfig) -> None:
     """One decimal id per line under the pinned header. The header carries
     only the vocabulary layout; viewbox/length metadata travels separately."""
-    header = (
-        f"# stroketok v1 d={cfg.rvq_depth} B={cfg.codebook_size} "
-        f"stages={cfg.compression_stages}"
-    )
     with open(path, "w") as f:
-        f.write(header + "\n")
+        f.write(f"# stroketok v1 {layout_text(cfg.layout)}\n")
         for tok in seq.tokens:
             f.write(f"{tok}\n")
 
@@ -879,7 +888,6 @@ def load_tokens(path: str) -> StrokeTokenSeq:
         raise MalformedTokens(f"{path}: token lines must be integers ({e})") from e
     return StrokeTokenSeq(
         tokens=tokens,
-        latent_len=len(tokens) // layout["d"],
         meta={
             "rvq_depth": layout["d"],
             "codebook_size": layout["B"],
@@ -892,7 +900,7 @@ def save_vq_checkpoint(
     path: str, store: ParameterStore, codebook: Codebook, cfg: CodecConfig
 ) -> None:
     named = {**store.state_dict(), **te.config_tensors("config", cfg)}
-    named["config.channels"] = np.array(cfg.stage_channels(), dtype=np.float64)
+    named["config.channels"] = np.array(cfg.channels, dtype=np.float64)
     named["config.fixer"] = np.array(float(_FIXER_CODES[cfg.fixer]))
     for level, usage in enumerate(codebook.usage):
         named[f"codebook.usage{level}"] = usage.astype(np.float64)

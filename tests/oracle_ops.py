@@ -1,12 +1,26 @@
-"""Engine ops that only tests use: the per-head attention oracle and the
+"""Engine ops that only tests use: the per-head attention oracle, the
+per-sample codec oracle (`sub` for its straight-through estimator) and the
 finite-difference checks build on them. They record through the engine's
-own `_make`/`_accum`, so they join any graph the program's ops build."""
+own `_make`/`_accum`/`_unbroadcast`, so they join any graph the program's
+ops build."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from stroketok.tensor_engine import ShapeMismatch, Tensor, _accum, _make
+from stroketok.tensor_engine import ShapeMismatch, Tensor, _accum, _make, _unbroadcast
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    out_data = a.data - b.data
+
+    def bw(g):
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g, b.data.shape))
+
+    return _make(out_data, (a, b), bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

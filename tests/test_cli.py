@@ -190,6 +190,12 @@ def rewrite_checkpoint(src, dst, drop=(), replace=None):
         ('{"viewbox": [0, 0, 8, 8]}', "an object holding viewbox and paths"),
         ('[[["M", 0, 0, 0, 0, 0, 0, 1, 1]]]', "an object holding viewbox and paths"),
         ('{"viewbox": [0, 0, 8, 8], "paths": [[1, 2]]}', "each a list of command rows"),
+        ('{"viewbox": [0, 0, 8, 8], "paths": [[["M", null, 0, 0, 0, 0, 0, 1, 1]]]}',
+         "coordinates of paths[0][0] must be numbers"),
+        ('{"viewbox": [0, 0, "a", 8], "paths": [[["M", 0, 0, 0, 0, 0, 0, 1, 1]]]}',
+         "viewbox must be numbers"),
+        ('{"viewbox": [0, 0, 8, 8], "keywords": [1, 2], '
+         '"paths": [[["M", 0, 0, 0, 0, 0, 0, 1, 1]]]}', "keywords must be a list of strings"),
     ],
 )
 def test_bad_tokenize_input_exits_1_with_one_line(pipeline, capsys, case, message):
@@ -205,6 +211,41 @@ def test_bad_tokenize_input_exits_1_with_one_line(pipeline, capsys, case, messag
                      "--out", str(d / "bad_input.tok")]) == 1
     assert message in assert_one_error_line(capsys)
     assert not (d / "bad_input.tok").exists()
+
+
+def test_token_layout_mismatch_exits_1_naming_both_layouts(pipeline, capsys, tmp_path):
+    """Token ids read against a codec or a token file of another (d, B,
+    stages) layout stop with one line naming both layouts, before any
+    output is written."""
+    d = pipeline
+    b8_cfg = tmp_path / "b8.cfg"
+    b8_cfg.write_text(TINY_CONFIG.replace("codebook_size = 16", "codebook_size = 8"))
+    b8 = tmp_path / "b8.ckpt"
+    corpus = sorted((d / "corpus").glob("*.json"))
+    mixed = tmp_path / "mixed"
+    mixed.mkdir()
+    for p in sorted((d / "tok").glob("*.tok"))[:2]:
+        (mixed / p.name).write_bytes(p.read_bytes())
+    for argv in (
+        ["train-vq", "--corpus", d / "corpus", "--config", b8_cfg, "--out", b8, "--steps", 1],
+        ["tokenize", "--ckpt", b8, "--in", corpus[2], "--out", mixed / f"{corpus[2].stem}.tok"],
+    ):
+        assert cli.main([str(a) for a in argv]) == 0
+    out = tmp_path / "out"
+    cases = [
+        ["detokenize", "--ckpt", b8, "--in", d / "tok" / f"{corpus[0].stem}.tok",
+         "--out", out],
+        ["generate", "--lm", d / "lm.ckpt", "--vq", b8, "--keywords", "circle",
+         "--out", out, "--tokens-out", tmp_path / "gen.tok"],
+        ["train-lm", "--tokens", mixed, "--corpus", d / "corpus", "--config",
+         d / "tiny.cfg", "--out", out],
+    ]
+    for argv in cases:
+        capsys.readouterr()
+        assert cli.main([str(a) for a in argv]) == 1, argv
+        line = assert_one_error_line(capsys)
+        assert "d=2 B=16 stages=1" in line and "d=2 B=8 stages=1" in line, line
+        assert not out.exists() and not (tmp_path / "gen.tok").exists()
 
 
 def assert_error_names(capsys, path, message):

@@ -39,7 +39,6 @@ def brute_force_edit(a, b):
 def seq(tokens, d=2, b=16, stages=1):
     return StrokeTokenSeq(
         tokens=list(tokens),
-        latent_len=max(1, len(tokens) // d),
         meta={"rvq_depth": d, "codebook_size": b, "stages": stages},
     )
 

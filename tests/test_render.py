@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stroketok.model import Graphic, Path, cubic_cmd, line_cmd, move_cmd
-from stroketok.render import flatten_cubic, rasterize, save_pbm, save_png
+from stroketok.render import _flatten_cubic, rasterize, save_pbm, save_png
 from stroketok.svg_io import gen_synthetic
 
 
@@ -52,8 +52,9 @@ def test_cubic_flattening_matches_dense_sampling():
 
 def test_flattening_refinement():
     p0, c0, c1, p1 = (0.0, 0.0), (20.0, 40.0), (40.0, -20.0), (60.0, 10.0)
-    fine = flatten_cubic(p0, c0, c1, p1, flatness=0.125)
-    coarse = flatten_cubic(p0, c0, c1, p1, flatness=0.25)
+    fine, coarse = [p0], [p0]
+    _flatten_cubic(p0, c0, c1, p1, 0.125, 0, fine)
+    _flatten_cubic(p0, c0, c1, p1, 0.25, 0, coarse)
     assert len(fine) >= len(coarse)
     # doubling the threshold never strays: coarse vertices near fine polyline
     fine_arr = np.array(fine)

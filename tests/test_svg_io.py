@@ -111,15 +111,24 @@ def test_rect_decomposition():
     assert [c.end for c in cmds[1:]] == [(3.0, 1.0), (3.0, 4.0), (1.0, 4.0), (1.0, 1.0)]
 
 
+SHAPES_DOC = """<svg viewBox="0 0 100 100">
+  <circle cx="50" cy="50" r="10"/>
+  <ellipse cx="20" cy="20" rx="5" ry="8"/>
+  <line x1="0" y1="0" x2="10" y2="10"/>
+  <polyline points="0,0 5,5 10,0"/>
+  <polygon points="60,60 80,60 70,80"/>
+</svg>"""
+
+# every path command, absolute then relative, over several subpaths
+EVERY_COMMAND_DOC = (
+    '<svg viewBox="0 0 40 40"><path d="M1 1 L2 2 H3 V4 C5 5 6 6 7 7 S8 8 9 9 '
+    "Q10 12 13 14 T15 16 A2 3 0 0 1 18 11 Z m1 1 l1 1 h1 v1 c1 1 2 2 3 3 "
+    's1 1 2 2 q1 1 2 2 t1 1 a2 2 0 1 0 3 3 z M30 30 L31 31"/></svg>'
+)
+
+
 def test_shapes_lower():
-    doc = """<svg viewBox="0 0 100 100">
-      <circle cx="50" cy="50" r="10"/>
-      <ellipse cx="20" cy="20" rx="5" ry="8"/>
-      <line x1="0" y1="0" x2="10" y2="10"/>
-      <polyline points="0,0 5,5 10,0"/>
-      <polygon points="60,60 80,60 70,80"/>
-    </svg>"""
-    g = parse_svg(doc)
+    g = parse_svg(SHAPES_DOC)
     assert len(g.paths) == 5
     types = {c.cmd_type for c in g.all_commands()}
     assert types <= {MOVE, LINE, CUBIC}
@@ -179,10 +188,18 @@ def test_lowering_soundness_sampled():
 
 
 def test_simplify_idempotent():
-    g = parse_svg('<svg viewBox="0 0 10 10"><path d="M1 1 C 2 3 4 5 6 7 L 8 8"/></svg>')
-    s1 = simplify(g)
-    assert simplify(s1) == s1
-    assert s1 == g  # parse output is already canonical
+    for doc in (
+        '<svg viewBox="0 0 10 10"><path d="M1 1 C 2 3 4 5 6 7 L 8 8"/></svg>',
+        SHAPES_DOC,
+        EVERY_COMMAND_DOC,
+    ):
+        g = parse_svg(doc)
+        s1 = simplify(g)
+        assert simplify(s1) == s1
+        assert s1 == g  # parse output is already canonical
+        # the pen rule, across elements and subpaths
+        for prev, path in zip(g.paths, g.paths[1:]):
+            assert path.commands[0].begin == prev.commands[-1].end
 
 
 def test_simplify_multipath_pen_chain():

@@ -29,7 +29,7 @@ from stroketok.tensor_engine import (
     stop_gradient,
 )
 
-from oracle_ops import matmul, mean_all, narrow, softmax, sum_all, transpose2d
+from oracle_ops import matmul, mean_all, narrow, softmax, sub, sum_all, transpose2d
 
 FD_H = 1e-5
 FD_TOL = 1e-4
@@ -63,14 +63,15 @@ def rand_param(rng, *shape) -> Tensor:
 def test_conv1d_trivial_examples():
     x = Tensor([[1.0], [2.0], [3.0]])  # time-major: 3 steps, 1 channel
     k = Tensor([[[1.0, 0.0, -1.0]]])
-    out = conv1d(x, k)
+    zero = Tensor(np.zeros(1))
+    out = conv1d(x, k, zero)
     np.testing.assert_allclose(out.data, [[-2.0]])
 
-    ident = conv1d(x, Tensor([[[1.0]]]))
+    ident = conv1d(x, Tensor([[[1.0]]]), zero)
     np.testing.assert_allclose(ident.data, x.data)
 
     x8 = Tensor(np.arange(8, dtype=float)[:, None])
-    out8 = conv1d(x8, Tensor([[[1.0, 1.0]]]), stride=2)
+    out8 = conv1d(x8, Tensor([[[1.0, 1.0]]]), zero, stride=2)
     assert out8.data.shape == (4, 1)
 
 
@@ -81,9 +82,9 @@ def test_conv1d_bias_and_shape_errors():
     out = conv1d(x, k, bias=b, padding=1)
     assert out.data.shape == (5, 3)
     with pytest.raises(ShapeMismatch):
-        conv1d(x, Tensor(np.ones((3, 4, 3))))
+        conv1d(x, Tensor(np.ones((3, 4, 3))), b)
     with pytest.raises(ShapeMismatch):
-        conv1d(x, Tensor(np.ones((3, 2, 9))))
+        conv1d(x, Tensor(np.ones((3, 2, 9))), b)
 
 
 def conv1d_dx_scatter(x, kernel, g, stride, padding):
@@ -109,7 +110,7 @@ def test_conv1d_input_grad_bit_equal_to_scatter():
                 for length in (max(1, k - 2 * padding), 7, 16):
                     x = rand_param(rng, length, 3)
                     kern = rand_param(rng, 4, 3, k)
-                    out = conv1d(x, kern, stride=stride, padding=padding)
+                    out = conv1d(x, kern, Tensor(np.zeros(4)), stride=stride, padding=padding)
                     g = rng.standard_normal(out.data.shape)
                     backward(sum_all(mul(out, Tensor(g))))
                     want = conv1d_dx_scatter(x.data, kern.data, g, stride, padding)
@@ -119,7 +120,7 @@ def test_conv1d_input_grad_bit_equal_to_scatter():
 def test_conv_transpose_scatter_example():
     x = Tensor([[1.0], [0.0]])
     k = Tensor([[[1.0, 1.0]]])
-    out = conv_transpose1d(x, k, stride=2)
+    out = conv_transpose1d(x, k, Tensor(np.zeros(1)), stride=2)
     np.testing.assert_allclose(out.data, [[1.0], [1.0], [0.0], [0.0]])
 
 
@@ -127,9 +128,9 @@ def test_conv_length_round_trip():
     x = Tensor(np.random.default_rng(0).standard_normal((16, 3)))
     k_down = Tensor(np.random.default_rng(1).standard_normal((5, 3, 4)))
     k_up = Tensor(np.random.default_rng(2).standard_normal((5, 3, 4)))
-    down = conv1d(x, k_down, stride=2, padding=1)
+    down = conv1d(x, k_down, Tensor(np.zeros(5)), stride=2, padding=1)
     assert down.data.shape == (8, 5)
-    up = conv_transpose1d(down, k_up, stride=2, padding=1)
+    up = conv_transpose1d(down, k_up, Tensor(np.zeros(3)), stride=2, padding=1)
     assert up.data.shape == (16, 3)
 
 
@@ -139,11 +140,14 @@ def test_conv_adjoint_identity():
     for stride, pad, k, length in ((1, 0, 3, 20), (2, 1, 4, 20), (3, 2, 5, 19)):
         x = Tensor(rng.standard_normal((length, 4)), requires_grad=True)
         kern = Tensor(rng.standard_normal((6, 4, k)))
-        y_shape = conv1d(x, kern, stride=stride, padding=pad).data.shape
+        zero_out, zero_in = Tensor(np.zeros(6)), Tensor(np.zeros(4))
+        y_shape = conv1d(x, kern, zero_out, stride=stride, padding=pad).data.shape
         y = Tensor(rng.standard_normal(y_shape))
-        lhs = float((conv1d(x, kern, stride=stride, padding=pad).data * y.data).sum())
+        lhs = float(
+            (conv1d(x, kern, zero_out, stride=stride, padding=pad).data * y.data).sum()
+        )
         xt = conv_transpose1d(
-            Tensor(y.data), Tensor(kern.data), stride=stride, padding=pad
+            Tensor(y.data), Tensor(kern.data), zero_in, stride=stride, padding=pad
         )
         rhs = float((x.data * xt.data).sum())
         assert abs(lhs - rhs) / max(abs(lhs), 1e-12) < 1e-10
@@ -185,7 +189,7 @@ def test_gradcheck_all_primitives():
 
     a = rand_param(rng, 4, 3)
     bb = rand_param(rng, 4, 3)
-    fd_check(lambda: mse_loss(a, bb), [a, bb])
+    fd_check(lambda: mse_loss(a, bb, np.full((4, 3), 1 / 12)), [a, bb])
 
     logits = rand_param(rng, 6, 5)
     targets = rng.integers(0, 5, size=6)
@@ -223,6 +227,10 @@ def test_gradcheck_all_primitives():
 
     tp = rand_param(rng, 3, 5)
     fd_check(lambda: sum_all(transpose2d(tp)), [tp])
+
+    sa = rand_param(rng, 4, 3)
+    sb = rand_param(rng, 3)  # broadcast over sa's rows
+    fd_check(lambda: mean_all(mul(sub(sa, sb), sa)), [sa, sb])
 
 
 def per_head_attention(q, k, v, heads, start):
@@ -314,9 +322,9 @@ def test_gradcheck_composed_network_many_seeds():
         def loss_fn():
             h = conv1d(x, k1, bias=b1, stride=2, padding=1)
             h = relu(h)
-            u = conv_transpose1d(h, k2, stride=2, padding=1)
-            h2 = conv1d(u, Tensor(np.ones((3, 2, 1))))
-            return mse_loss(h2, Tensor(target))
+            u = conv_transpose1d(h, k2, Tensor(np.zeros(2)), stride=2, padding=1)
+            h2 = conv1d(u, Tensor(np.ones((3, 2, 1))), Tensor(np.zeros(3)))
+            return mse_loss(h2, Tensor(target), np.full((8, 3), 1 / 24))
 
         fd_check(loss_fn, [k1, b1, k2])
 
@@ -393,7 +401,8 @@ def test_training_determinism():
         x = Tensor(rng.standard_normal((10, 1)))
         target = Tensor(rng.standard_normal((10, 2)))
         for _ in range(25):
-            loss = mse_loss(conv1d(x, k, bias=b, padding=1), target)
+            out = conv1d(x, k, bias=b, padding=1)
+            loss = mse_loss(out, target, np.full((10, 2), 1 / 20))
             backward(loss)
             optimizer_step(store, lr=1e-2)
         return k.data.tobytes() + b.data.tobytes()

@@ -23,6 +23,7 @@ from stroketok.vq_codec import (
     Diverged,
     EmptyCodebook,
     MalformedTokens,
+    Packing,
     StrokeTokenSeq,
     codec_loss,
     decode,
@@ -226,14 +227,16 @@ def test_loss_zero_and_alpha_off():
     z = Tensor(np.array([[1.0, 0.0]]), requires_grad=True)
     zq = Tensor(z.data.copy())
     recon = Tensor(np.zeros((4, 9)), requires_grad=True)
-    target = np.zeros((4, 9))
-    total, l_cb, l_cm, l_rc = codec_loss(target, recon, z, zq, alpha=1.0)
+    # 4 rows over 1 latent row
+    cfg = small_cfg(compression_stages=2)
+    packing = Packing.of([StrokeMatrix(np.zeros((4, 9)), scaled=True)], cfg)
+    total, l_cb, l_cm, l_rc = codec_loss(packing, recon, z, zq, alpha=1.0)
     assert float(total.data) == 0.0
 
     rng = np.random.default_rng(0)
     recon2 = Tensor(rng.normal(size=(4, 9)), requires_grad=True)
     zq2 = Tensor(rng.normal(size=(1, 2)))
-    total2, _, _, l_rc2 = codec_loss(target, recon2, z, zq2, alpha=0.0)
+    total2, _, _, l_rc2 = codec_loss(packing, recon2, z, zq2, alpha=0.0)
     assert float(total2.data) == pytest.approx(float(l_rc2.data))
 
 
@@ -242,7 +245,8 @@ def test_loss_hand_arithmetic():
     z = Tensor(np.array([[1.0, 0.0]]), requires_grad=True)
     zq = Tensor(np.zeros((1, 2)))
     recon = Tensor(np.zeros((2, 9)))
-    total, l_cb, l_cm, l_rc = codec_loss(np.zeros((2, 9)), recon, z, zq, alpha=1.0)
+    packing = Packing.of([StrokeMatrix(np.zeros((2, 9)), scaled=True)], small_cfg())
+    total, l_cb, l_cm, l_rc = codec_loss(packing, recon, z, zq, alpha=1.0)
     assert float(l_cb.data) == pytest.approx(0.5)
     assert float(l_cm.data) == pytest.approx(0.5)
     assert float(l_rc.data) == 0.0
@@ -259,12 +263,13 @@ def test_gradient_routing_as_printed():
         lv.data = rng.normal(size=lv.data.shape)
     corpus = scaled_corpus(2, 40)
     m = corpus[0]
+    # a zero target and recon as long as m, so the latent rows match z's
+    packing = Packing.of([StrokeMatrix(np.zeros((len(m), 9)), scaled=True)], cfg)
+    recon = np.zeros(packing.target.shape)
 
     z, _ = encode(m, cfg, store)
     zq, _ = quantize_residual(z, codebook)
-    _, l_cb, l_cm, _ = codec_loss(
-        np.zeros((2, 9)), Tensor(np.zeros((2, 9)), requires_grad=True), z, zq, 1.0
-    )
+    _, l_cb, l_cm, _ = codec_loss(packing, Tensor(recon, requires_grad=True), z, zq, 1.0)
 
     backward(l_cm)
     enc_names = [n for n, _ in store.trainable() if n.startswith("enc")]
@@ -275,9 +280,7 @@ def test_gradient_routing_as_printed():
     store.zero_grads()
     z2, _ = encode(m, cfg, store)
     zq2, _ = quantize_residual(z2, codebook)
-    _, l_cb2, _, _ = codec_loss(
-        np.zeros((2, 9)), Tensor(np.zeros((2, 9)), requires_grad=True), z2, zq2, 1.0
-    )
+    _, l_cb2, _, _ = codec_loss(packing, Tensor(recon, requires_grad=True), z2, zq2, 1.0)
     backward(l_cb2)
     for lv in codebook.levels:
         assert lv.grad is None or not np.any(lv.grad)
@@ -296,9 +299,7 @@ def test_straight_through_matches_identity_graph():
 
     with no_grad():
         z_plain, pad = encode(m, cfg, store)
-    from stroketok.vq_codec import pad_rows
-
-    target, _ = pad_rows(m.rows, cfg.compression_stages)
+    packing = Packing.of([m], cfg)
 
     # level 0 holds every latent row exactly; level 1 holds only zeros
     book = book_from_arrays([z_plain.data, np.zeros((2, cfg.code_dim))])
@@ -307,14 +308,14 @@ def test_straight_through_matches_identity_graph():
     zq, _ = quantize_residual(z, book)
     np.testing.assert_allclose(zq.data, z.data, atol=1e-12)
     recon = _decode_tensor(straight_through(z, zq), cfg, store)
-    loss = codec_loss(target, recon, z, zq, 1.0)[0]
+    loss = codec_loss(packing, recon, z, zq, 1.0)[0]
     backward(loss)
     grads_st = {n: t.grad.copy() for n, t in store.trainable() if t.grad is not None}
 
     store.zero_grads()
     z_id, _ = encode(m, cfg, store)
     recon_id = _decode_tensor(z_id, cfg, store)
-    l_rc = codec_loss(target, recon_id, z_id, Tensor(z_id.data.copy()), 1.0)[0]
+    l_rc = codec_loss(packing, recon_id, z_id, Tensor(z_id.data.copy()), 1.0)[0]
     backward(l_rc)
     for name, g in grads_st.items():
         ref = store[name].grad
@@ -379,7 +380,6 @@ def test_tokenize_detokenize_contracts():
     seq = tokenize(g, store, codebook, cfg)
     expected_frames = -(-g.command_count() // cfg.rate)
     assert len(seq.tokens) == cfg.rvq_depth * expected_frames
-    assert seq.latent_len == expected_frames
     assert all(0 <= t < cfg.rvq_depth * cfg.codebook_size for t in seq.tokens)
     assert seq.meta["orig_len"] == g.command_count()
 
@@ -393,7 +393,6 @@ def test_tokenize_detokenize_contracts():
     with pytest.raises(BadTokenId):
         bad = StrokeTokenSeq(
             tokens=[cfg.rvq_depth * cfg.codebook_size],
-            latent_len=1,
             meta=seq.meta,
         )
         _, _ = detokenize(bad, store, codebook, cfg)
@@ -409,7 +408,7 @@ def test_lookup_tokens_total_on_any_valid_ids():
 
 def test_token_file_round_trip(tmp_path):
     cfg = small_cfg()
-    seq = StrokeTokenSeq(tokens=[0, 9, 3, 11], latent_len=2, meta={})
+    seq = StrokeTokenSeq(tokens=[0, 9, 3, 11], meta={})
     p = tmp_path / "g.tok"
     save_tokens(seq, str(p), cfg)
     text = p.read_text().splitlines()
@@ -417,7 +416,6 @@ def test_token_file_round_trip(tmp_path):
     assert text[1:] == ["0", "9", "3", "11"]
     loaded = load_tokens(str(p))
     assert loaded.tokens == seq.tokens
-    assert loaded.latent_len == 2
     assert loaded.meta["codebook_size"] == 8
 
 
@@ -780,9 +778,8 @@ def per_sample_step(matrices, cfg, store, codebook):
         mul,
         relu,
         stop_gradient,
-        sub,
     )
-    from oracle_ops import transpose2d
+    from oracle_ops import sub, transpose2d
 
     p = (cfg.kernel_size - 2) // 2
 
@@ -816,9 +813,10 @@ def per_sample_step(matrices, cfg, store, codebook):
             x = cm_conv_transpose1d(x, store[f"dec{j}.up.w"], store[f"dec{j}.up.b"], 2, p)
             x = res(x, f"dec{j}.res")
             x = cm_conv1d(x, store[f"dec{j}.proj.w"], store[f"dec{j}.proj.b"])
-        l_cb = mse_loss(z, stop_gradient(zq))
-        l_cm = mse_loss(stop_gradient(z), zq)
-        l_rc = mse_loss(x, Tensor(rows.T.copy()))
+        w_latent = np.full(z.data.shape, 1 / z.data.size)
+        l_cb = mse_loss(z, stop_gradient(zq), w_latent)
+        l_cm = mse_loss(stop_gradient(z), zq, w_latent)
+        l_rc = mse_loss(x, Tensor(rows.T.copy()), np.full(rows.T.shape, 1 / rows.size))
         totals.append(add(mul(add(l_cb, l_cm), Tensor(np.array(cfg.alpha))), l_rc))
         ids.append(levels)
         latents.append(z.data.T)
@@ -890,9 +888,7 @@ def test_packed_step_matches_per_sample_step(stages, kernel_size):
             for usage, idx in zip(want_usage, levels):
                 usage += np.bincount(idx, minlength=cfg.codebook_size)
 
-        total, _, _, _, latents = batch_loss(
-            matrices, cfg, store, codebook, update_usage=True
-        )
+        total, _, _, _, latents = batch_loss(matrices, cfg, store, codebook)
         got = trainable_grads(total, store)
 
         assert abs(float(total.data) - float(want_total.data)) <= 1e-12
