@@ -191,11 +191,11 @@ def cmd_tokenize(ns) -> int:
             raise StroketokError(f"no .json graphics in {src}")
         for p in files:
             seq = tokenize(load_graphic(p.read_text()), store, codebook, cfg)
-            save_tokens(seq, str(dst / f"{p.stem}.tok"), cfg)
+            save_tokens(seq, str(dst / f"{p.stem}.tok"))
         print(f"tokenized {len(files)} graphics into {dst}")
     else:
         seq = tokenize(_load_graphic_file(src), store, codebook, cfg)
-        save_tokens(seq, str(dst), cfg)
+        save_tokens(seq, str(dst))
         print(f"wrote {len(seq.tokens)} tokens to {dst}")
     return 0
 
@@ -269,7 +269,7 @@ def cmd_generate(ns) -> int:
     out = Path(ns.out)
     _write_decoded(g, report, out)
     if ns.tokens_out:
-        save_tokens(seq, ns.tokens_out, vq_cfg)
+        save_tokens(seq, ns.tokens_out)
     stop = "stopped at length cap" if seq.meta["truncated"] else "stopped at EOS"
     print(
         f"generated {len(seq.tokens)} tokens (raw {seq.meta['raw_len']}, {stop}) "

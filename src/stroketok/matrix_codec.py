@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StroketokError
-from .fixer import default_connect_tol
+from .fixer import check_connectivity
 from .model import (
     CUBIC,
     LINE,
@@ -66,24 +66,21 @@ def to_matrix(g: Graphic) -> StrokeMatrix:
 
     Coordinates are written verbatim (the control fill for M/L is applied
     where commands are created, not here, so repaired graphics keep their
-    literal values). Raises BrokenChain when a within-path begin/end gap
-    exceeds 1e-6 of the larger viewbox extent (`default_connect_tol`).
+    literal values). Raises BrokenChain at the first within-path begin/end
+    gap `check_connectivity` finds at its default tolerance, 1e-6 of the
+    larger viewbox extent.
     """
-    chain_tol = default_connect_tol(g)
     if not g.paths:
         raise ValueError("graphic has no paths")
+    gaps = check_connectivity(g)
+    if gaps:
+        pi, j, gap = gaps[0]
+        raise BrokenChain(f"path {pi}: gap {gap:g} between commands {j} and {j + 1}")
     rows = []
     for pi, path in enumerate(g.paths):
-        prev: BasicCommand | None = None
         for j, cmd in enumerate(path.commands):
             if cmd.cmd_type not in TYPE_CODES:
                 raise NotSimplified(f"path {pi} command {j}: type {cmd.cmd_type!r}")
-            if prev is not None:
-                gap = float(np.hypot(cmd.begin[0] - prev.end[0], cmd.begin[1] - prev.end[1]))
-                if gap > chain_tol:
-                    raise BrokenChain(
-                        f"path {pi}: gap {gap:g} between commands {j - 1} and {j}"
-                    )
             rows.append(
                 (
                     TYPE_CODES[cmd.cmd_type],
@@ -97,7 +94,6 @@ def to_matrix(g: Graphic) -> StrokeMatrix:
                     cmd.end[1],
                 )
             )
-            prev = cmd
     return StrokeMatrix(np.array(rows, dtype=np.float64), scaled=False)
 
 

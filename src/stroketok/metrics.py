@@ -23,6 +23,7 @@ import numpy as np
 from .errors import StroketokError
 from .model import Graphic
 from .render import rasterize
+from .vq_codec import StrokeTokenSeq, check_layout
 
 EDIT_BINS = 256
 
@@ -33,10 +34,6 @@ _BIN_OFFSET = 3
 
 class ZeroLength(StroketokError):
     """Compression ratio is undefined for empty sequences."""
-
-
-class VocabMismatch(StroketokError):
-    """Token sequences come from different vocabulary layouts."""
 
 
 class RenderFailure(StroketokError):
@@ -140,22 +137,15 @@ def compression_ratio(code_len: int, token_len: int) -> float:
     return code_len / token_len
 
 
-def recall_score(golden, generated) -> float:
-    """Multiset recall of the golden token ids within the generated ones."""
-    glayout = _layout(golden)
-    playout = _layout(generated)
-    if glayout != playout:
-        raise VocabMismatch(f"token layouts differ: {glayout} vs {playout}")
+def recall_score(golden: StrokeTokenSeq, generated: StrokeTokenSeq) -> float:
+    """Multiset recall of the golden token ids within the generated ones,
+    which must share their layout."""
+    check_layout("golden", golden.layout, "generated", generated.layout)
     gold = Counter(golden.tokens)
     hits = gold & Counter(generated.tokens)
     if not golden.tokens:
         raise ZeroLength("golden token sequence is empty")
     return sum(hits.values()) / len(golden.tokens)
-
-
-def _layout(seq) -> tuple:
-    meta = seq.meta or {}
-    return (meta.get("rvq_depth"), meta.get("codebook_size"), meta.get("stages"))
 
 
 def pixel_iou(a: Graphic, b: Graphic, res: int = 128, stroke_px: int = 2) -> float:

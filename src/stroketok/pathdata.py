@@ -71,8 +71,14 @@ class _Scanner:
         m = _NUMBER_RE.match(self.text, self.pos)
         if not m:
             raise MalformedSvg(f"expected number at offset {self.pos}", offset=self.pos)
+        value = float(m.group(0))
+        if not math.isfinite(value):
+            raise MalformedSvg(
+                f"path number {m.group(0)!r} at offset {self.pos} is not finite",
+                offset=self.pos,
+            )
         self.pos = m.end()
-        return float(m.group(0))
+        return value
 
     def flag(self) -> int:
         # Arc flags are a single 0/1 character and may be packed ("..0130..").

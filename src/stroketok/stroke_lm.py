@@ -133,11 +133,10 @@ class Vocab:
 
 
 def build_vocab(pairs: list[tuple[list[str], StrokeTokenSeq]]) -> Vocab:
-    """Keyword map from the corpus plus the stroke layout from its meta."""
+    """Keyword map from the corpus plus the layout of its stroke tokens."""
     if not pairs:
         raise ValueError("no training pairs")
-    meta = pairs[0][1].meta
-    depth, size = int(meta["rvq_depth"]), int(meta["codebook_size"])
+    depth, size, stages = pairs[0][1].layout
     words = set(PROMPT_TEMPLATE.split())
     for keywords, _ in pairs:
         for kw in keywords:
@@ -147,7 +146,7 @@ def build_vocab(pairs: list[tuple[list[str], StrokeTokenSeq]]) -> Vocab:
         keyword_words=sorted(words),
         rvq_depth=depth,
         codebook_size=size,
-        stages=int(meta["stages"]),
+        stages=stages,
     )
 
 
@@ -439,14 +438,8 @@ def generate(
     usable = len(out) - (len(out) % vocab.rvq_depth)
     return StrokeTokenSeq(
         tokens=out[:usable],
-        meta={
-            "rvq_depth": vocab.rvq_depth,
-            "codebook_size": vocab.codebook_size,
-            "stages": vocab.stages,
-            "truncated": truncated,
-            "raw_len": len(out),
-            "keywords": list(keywords),
-        },
+        layout=vocab.layout,
+        meta={"truncated": truncated, "raw_len": len(out), "keywords": list(keywords)},
     )
 
 

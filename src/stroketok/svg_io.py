@@ -56,8 +56,13 @@ def _local(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-def _floats(text: str) -> list[float]:
-    return [float(t) for t in re.findall(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?", text)]
+def _floats(text: str, field: str) -> list[float]:
+    """The numbers in `text`; MalformedSvg naming `field` if one overflows
+    to infinity."""
+    vals = [float(t) for t in re.findall(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?", text)]
+    if not all(map(math.isfinite, vals)):
+        raise MalformedSvg(f"{field} {text!r} holds a non-finite number")
+    return vals
 
 
 def _ellipse_subpath(cx: float, cy: float, rx: float, ry: float) -> list[BasicCommand]:
@@ -83,7 +88,12 @@ def _polyline(pts: list[Point]) -> list[BasicCommand]:
 def _shape_subpaths(tag: str, el: ET.Element) -> list[list[BasicCommand]]:
     def attr(name: str, default: float = 0.0) -> float:
         raw = el.get(name)
-        return float(raw) if raw is not None else default
+        if raw is None:
+            return default
+        value = float(raw)
+        if not math.isfinite(value):
+            raise MalformedSvg(f"<{tag}> attribute {name} {raw!r} is not a finite number")
+        return value
 
     if tag == "rect":
         x, y = attr("x"), attr("y")
@@ -118,7 +128,7 @@ def _shape_subpaths(tag: str, el: ET.Element) -> list[list[BasicCommand]]:
         p1 = (attr("x2"), attr("y2"))
         return [[move_cmd(p0, p0), line_cmd(p0, p1)]]
     if tag in ("polyline", "polygon"):
-        vals = _floats(el.get("points", ""))
+        vals = _floats(el.get("points", ""), f"<{tag}> attribute points")
         if len(vals) % 2 == 1:
             log.warning("%s has odd coordinate count; dropping trailing value", tag)
             vals = vals[:-1]
@@ -176,7 +186,7 @@ def parse_svg(text: str) -> Graphic:
         raise EmptyGraphic("document has no drawable content")
 
     vb_attr = root.get("viewBox")
-    vals = _floats(vb_attr) if vb_attr else []
+    vals = _floats(vb_attr, "viewBox") if vb_attr else []
     if vb_attr and (len(vals) != 4 or vals[2] <= 0 or vals[3] <= 0):
         raise MalformedSvg(f"invalid viewBox {vb_attr!r}")
     paths = tuple(Path(tuple(sub)) for sub in subpaths)
@@ -464,6 +474,8 @@ def load_graphic(text: str) -> Graphic:
         vb = [float(v) for v in vb]
     except (TypeError, ValueError):
         raise ValueError(f"viewbox must be numbers, got {vb!r}") from None
+    if not all(map(math.isfinite, vb)):
+        raise ValueError(f"viewbox must be finite numbers, got {vb!r}")
     keywords = obj.get("keywords", [])
     if not isinstance(keywords, list) or not all(isinstance(k, str) for k in keywords):
         raise ValueError("keywords must be a list of strings")
@@ -487,6 +499,10 @@ def load_graphic(text: str) -> Graphic:
                 ) from None
             if len(nums) != 8:
                 raise ValueError("command row must hold a type and 8 numbers")
+            if not all(map(math.isfinite, nums)):
+                raise ValueError(
+                    f"coordinates of paths[{i}][{j}] must be finite, got {nums!r}"
+                )
             cmds.append(
                 BasicCommand(
                     t,

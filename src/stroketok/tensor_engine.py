@@ -1,7 +1,7 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
 Just the machinery that training the codec and the toy sequence model
-runs: `add`, `mul`, `relu`, `clip`, `reshape`, `concat`, `stop_gradient`,
+runs: `add`, `mul`, `relu`, `reshape`, `concat`, `stop_gradient`,
 `take_rows` and its adjoint `place_rows`, `conv1d` and `conv_transpose1d`
 (both with a bias), `linear`, `embedding` (row gather), fused causal
 multi-head `attention`, `layer_norm`, weighted `mse_loss`, masked
@@ -221,17 +221,6 @@ def relu(x: Tensor) -> Tensor:
 
     def bw(g):
         _accum(x, g * mask)
-
-    return _make(out_data, (x,), bw)
-
-
-def clip(x: Tensor, lo: float, hi: float) -> Tensor:
-    """Hard clip with the almost-everywhere gradient (zero when saturated)."""
-    inside = (x.data > lo) & (x.data < hi)
-    out_data = np.clip(x.data, lo, hi)
-
-    def bw(g):
-        _accum(x, g * inside)
 
     return _make(out_data, (x,), bw)
 

@@ -8,6 +8,12 @@ latent timestep against per-level codebooks; token ids are level * |B| +
 entry, flattened timestep-major. The decoder mirrors the encoder with
 transposed convolutions and clamps its output to [-1, 1].
 
+A token id means something only under its layout (d, B, stages): depth d,
+|B| entries a level, a latent downsampled by 2**stages. Every
+`StrokeTokenSeq` carries its layout (from the codec config, the token file
+header or the LM vocabulary), `save_tokens` writes it as the header, and
+`check_layout` is the one comparison of two layouts.
+
 Every array is time-major: a matrix is (L, 9) rows and a latent (T, Dim)
 rows. Several samples run through the convolutions as one `Packing`: their
 rows end to end with zero gap rows between them, re-zeroed after each layer
@@ -40,7 +46,6 @@ from .tensor_engine import (
     Tensor,
     add,
     backward,
-    clip,
     conv1d,
     conv_transpose1d,
     embedding,
@@ -164,13 +169,13 @@ class Codebook:
 
 @dataclass
 class StrokeTokenSeq:
-    tokens: list[int]
-    meta: dict = field(default_factory=dict)
+    """Token ids under the (d, B, stages) layout that gives them meaning.
+    `meta` holds what decoding may use besides (viewbox, orig_len,
+    keywords) and what generating reports."""
 
-    @property
-    def layout(self) -> tuple[int, int, int]:
-        """The (d, B, stages) layout its meta records."""
-        return (self.meta["rvq_depth"], self.meta["codebook_size"], self.meta["stages"])
+    tokens: list[int]
+    layout: tuple[int, int, int]
+    meta: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +401,7 @@ def _decode_tensor(
 
 
 def decode(
-    zq,
+    zq: Tensor,
     cfg: CodecConfig,
     store: ParameterStore,
     pad: int = 0,
@@ -404,8 +409,7 @@ def decode(
 ) -> StrokeMatrix:
     """Latent (T, code_dim) of one sample -> scaled stroke matrix, clamped
     to [-1, 1], with pad rows dropped."""
-    t = zq if isinstance(zq, Tensor) else Tensor(zq)
-    rows = clip(_decode_tensor(t, cfg, store), -1.0, 1.0).data
+    rows = np.clip(_decode_tensor(zq, cfg, store).data, -1.0, 1.0)
     if original_len is not None:
         rows = rows[: max(1, min(original_len, rows.shape[0]))]
     elif pad:
@@ -506,21 +510,20 @@ def _nearest(points: np.ndarray, entries: np.ndarray) -> np.ndarray:
 
 
 def quantize_residual(
-    z: Tensor | np.ndarray,
+    z: Tensor,
     codebook: Codebook,
     update_usage: bool = False,
-) -> tuple[Tensor, StrokeTokenSeq]:
+) -> tuple[Tensor, np.ndarray]:
     """d rounds of nearest-neighbor residual coding per latent row (T, Dim).
 
     Returns the quantized latent (T, Dim) (differentiable w.r.t. codebook
-    entries; indices are constants) and the flat token sequence,
+    entries; indices are constants) and the flat token ids (T * d,),
     timestep-major with token id = level * |B| + entry. Ties go to the
     lowest entry index.
     """
     if not codebook.levels:
         raise EmptyCodebook("codebook has no levels")
-    zt = z if isinstance(z, Tensor) else Tensor(z)
-    residual = zt.data.copy()
+    residual = z.data.copy()
     size = codebook.size
     level_ids: list[np.ndarray] = []
     zq = None
@@ -537,11 +540,7 @@ def quantize_residual(
 
     # timestep-major: row t holds level * |B| + entry for every level
     ids = np.stack(level_ids, axis=1) + np.arange(codebook.depth) * size
-    seq = StrokeTokenSeq(
-        tokens=ids.ravel().tolist(),
-        meta={"rvq_depth": codebook.depth, "codebook_size": size},
-    )
-    return zq, seq
+    return zq, ids.ravel()
 
 
 def straight_through(z: Tensor, zq: Tensor) -> Tensor:
@@ -794,17 +793,10 @@ def tokenize(
     m = to_matrix(g)
     ms = scale(m, TO_UNIT, g.viewbox)
     with no_grad():
-        z, pad = encode(ms, cfg, store)
-        _, seq = quantize_residual(z, codebook)
-    seq.meta.update(
-        {
-            "viewbox": list(g.viewbox),
-            "orig_len": len(m),
-            "pad": pad,
-            "stages": cfg.compression_stages,
-        }
-    )
-    return seq
+        z, _ = encode(ms, cfg, store)
+        _, ids = quantize_residual(z, codebook)
+    meta = {"viewbox": list(g.viewbox), "orig_len": len(m)}
+    return StrokeTokenSeq(ids.tolist(), cfg.layout, meta)
 
 
 def detokenize(
@@ -816,7 +808,7 @@ def detokenize(
 ) -> tuple[Graphic, FixReport | None]:
     """Token ids -> (repaired Graphic, its FixReport); the fixer strategy is
     cfg's unless given, and the report is None when no fixer runs."""
-    zq = lookup_tokens(seq.tokens, codebook)
+    zq = Tensor(lookup_tokens(seq.tokens, codebook))
     orig_len = seq.meta.get("orig_len")
     with no_grad():
         ms = decode(zq, cfg, store, original_len=orig_len)
@@ -855,11 +847,11 @@ def check_layout(
         )
 
 
-def save_tokens(seq: StrokeTokenSeq, path: str, cfg: CodecConfig) -> None:
+def save_tokens(seq: StrokeTokenSeq, path: str) -> None:
     """One decimal id per line under the pinned header. The header carries
-    only the vocabulary layout; viewbox/length metadata travels separately."""
+    only the sequence's layout; viewbox/length metadata travels separately."""
     with open(path, "w") as f:
-        f.write(f"# stroketok v1 {layout_text(cfg.layout)}\n")
+        f.write(f"# stroketok v1 {layout_text(seq.layout)}\n")
         for tok in seq.tokens:
             f.write(f"{tok}\n")
 
@@ -872,7 +864,7 @@ def load_tokens(path: str) -> StrokeTokenSeq:
     fields = dict(
         part.split("=", 1) for part in lines[0].split()[3:] if "=" in part
     )
-    layout = {}
+    layout = []
     # each field's lower bound is the one CodecConfig enforces
     for key, low in (("d", 1), ("B", 2), ("stages", 1)):
         value = fields.get(key, "")
@@ -881,19 +873,12 @@ def load_tokens(path: str) -> StrokeTokenSeq:
                 f"{path}: token header field {key} must be an integer >= {low} "
                 f"(header {lines[0]!r})"
             )
-        layout[key] = int(value)
+        layout.append(int(value))
     try:
         tokens = [int(line) for line in lines[1:] if line.strip()]
     except ValueError as e:
         raise MalformedTokens(f"{path}: token lines must be integers ({e})") from e
-    return StrokeTokenSeq(
-        tokens=tokens,
-        meta={
-            "rvq_depth": layout["d"],
-            "codebook_size": layout["B"],
-            "stages": layout["stages"],
-        },
-    )
+    return StrokeTokenSeq(tokens, tuple(layout))
 
 
 def save_vq_checkpoint(

@@ -194,6 +194,8 @@ def rewrite_checkpoint(src, dst, drop=(), replace=None):
          "coordinates of paths[0][0] must be numbers"),
         ('{"viewbox": [0, 0, "a", 8], "paths": [[["M", 0, 0, 0, 0, 0, 0, 1, 1]]]}',
          "viewbox must be numbers"),
+        ('{"viewbox": [0, 0, 8, 8], "paths": [[["M", 0, 0, 0, 0, 0, 0, 1, 1], '
+         '["L", 1, 1, 0, 0, 0, 0, 1e999, 2]]]}', "coordinates of paths[0][1] must be finite"),
         ('{"viewbox": [0, 0, 8, 8], "keywords": [1, 2], '
          '"paths": [[["M", 0, 0, 0, 0, 0, 0, 1, 1]]]}', "keywords must be a list of strings"),
     ],
@@ -211,6 +213,30 @@ def test_bad_tokenize_input_exits_1_with_one_line(pipeline, capsys, case, messag
                      "--out", str(d / "bad_input.tok")]) == 1
     assert message in assert_one_error_line(capsys)
     assert not (d / "bad_input.tok").exists()
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("nan_viewbox.json",
+         '{"viewbox": [0, 0, NaN, 8], "paths": [[["M", 0, 0, 0, 0, 0, 0, 1, 1]]]}',
+         "viewbox must be finite numbers"),
+        ("inf_number.svg",
+         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 8 8">'
+         '<path d="M 0 0 L 1e999 5"/></svg>',
+         "path number '1e999' at offset 8 is not finite"),
+    ],
+)
+def test_non_finite_input_exits_1_with_one_line(pipeline, capsys, tmp_path, name, text,
+                                                message):
+    src, out = tmp_path / name, tmp_path / "out"
+    src.write_text(text)
+    for argv in (["tokenize", "--ckpt", pipeline / "vq.ckpt", "--in", src, "--out", out],
+                 ["render", "--in", src, "--out", out]):
+        capsys.readouterr()
+        assert cli.main([str(a) for a in argv]) == 1, argv
+        assert message in assert_one_error_line(capsys)
+        assert not out.exists()
 
 
 def test_token_layout_mismatch_exits_1_naming_both_layouts(pipeline, capsys, tmp_path):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from stroketok.metrics import (
     RenderFailure,
-    VocabMismatch,
     ZeroLength,
     code_length,
     compression_ratio,
@@ -20,7 +19,7 @@ from stroketok.metrics import (
 )
 from stroketok.model import Graphic, Path, cubic_cmd, line_cmd, move_cmd
 from stroketok.svg_io import gen_synthetic
-from stroketok.vq_codec import StrokeTokenSeq
+from stroketok.vq_codec import LayoutMismatch, StrokeTokenSeq
 
 
 def brute_force_edit(a, b):
@@ -37,10 +36,7 @@ def brute_force_edit(a, b):
 
 
 def seq(tokens, d=2, b=16, stages=1):
-    return StrokeTokenSeq(
-        tokens=list(tokens),
-        meta={"rvq_depth": d, "codebook_size": b, "stages": stages},
-    )
+    return StrokeTokenSeq(tokens=list(tokens), layout=(d, b, stages))
 
 
 def scalar_serialize(g):
@@ -202,8 +198,13 @@ def test_recall_monotone_in_generated():
 
 
 def test_recall_vocab_mismatch():
-    with pytest.raises(VocabMismatch):
-        recall_score(seq([1], d=2), seq([1], d=3))
+    """Ids of two layouts are not comparable: the error names both."""
+    with pytest.raises(LayoutMismatch) as ei:
+        recall_score(seq([1], d=2), seq([1], d=3, b=8, stages=2))
+    assert str(ei.value) == (
+        "token layouts differ: golden has d=2 B=16 stages=1, "
+        "generated has d=3 B=8 stages=2"
+    )
 
 
 def test_pixel_iou_identity_and_disjoint():

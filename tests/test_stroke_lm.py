@@ -46,10 +46,7 @@ def make_pairs(n_pairs=4, depth=2, size=8, seq_len=6, seed=0):
     for i in range(n_pairs):
         kws = [words[i % len(words)], words[(i + 3) % len(words)]]
         tokens = [int(t) for t in rng.integers(0, depth * size, size=seq_len)]
-        seq = StrokeTokenSeq(
-            tokens=tokens,
-            meta={"rvq_depth": depth, "codebook_size": size, "stages": 1},
-        )
+        seq = StrokeTokenSeq(tokens=tokens, layout=(depth, size, 1))
         pairs.append((kws, seq))
     return pairs
 
@@ -219,7 +216,7 @@ def test_generate_argmax_deterministic():
     b = generate(pairs[0][0], store, vocab, cfg)
     assert a.tokens == b.tokens
     assert all(0 <= t < vocab.stroke_vocab for t in a.tokens)
-    assert a.meta["rvq_depth"] == 2 and a.meta["codebook_size"] == 8
+    assert a.layout == vocab.layout == (2, 8, 1)
 
 
 def test_generate_respects_max_len():

@@ -164,6 +164,23 @@ def test_malformed_path_grammar():
         parse_svg('<svg><path d="M 0 0 L 1"/></svg>')  # missing coordinate
 
 
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ('<svg viewBox="0 0 1e999 8"><path d="M 0 0 L 1 5"/></svg>', "viewBox"),
+        ('<svg viewBox="0 0 8 8"><circle r="nan"/></svg>', "<circle> attribute r"),
+        ('<svg viewBox="0 0 8 8"><rect width="inf" height="1"/></svg>',
+         "<rect> attribute width"),
+        ('<svg viewBox="0 0 8 8"><polygon points="0 0 1 -1e999 2 2"/></svg>',
+         "<polygon> attribute points"),
+    ],
+)
+def test_non_finite_numbers_are_rejected_by_field(doc, field):
+    with pytest.raises(MalformedSvg, match="finite") as ei:
+        parse_svg(doc)
+    assert field in str(ei.value)
+
+
 def test_interconnection_exact():
     doc = '<svg viewBox="0 0 10 10"><path d="M1 1 L5 5 Q 6 7 8 8 C 9 9 9 5 5 1 Z"/></svg>'
     g = parse_svg(doc)

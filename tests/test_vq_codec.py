@@ -104,36 +104,36 @@ def test_quantize_hand_example():
     # two levels of two entries each; worked by hand
     book = book_from_arrays([[(0.0, 0.0), (1.0, 1.0)], [(0.0, 0.0), (0.2, 0.0)]])
     z = np.array([[1.2, 1.0]])  # one timestep, Dim=2
-    zq, seq = quantize_residual(z, book)
-    assert seq.tokens == [1, 2 + 1]
+    zq, ids = quantize_residual(Tensor(z), book)
+    assert ids.tolist() == [1, 2 + 1]
     np.testing.assert_allclose(zq.data[0], [1.2, 1.0], atol=1e-15)
 
 
 def test_quantize_exact_match_zero_error():
     book = book_from_arrays([[(0.5, -0.25), (2.0, 2.0)], [(0.0, 0.0), (1.0, 0.0)]])
     z = np.array([[0.5, -0.25]])
-    zq, seq = quantize_residual(z, book)
-    assert seq.tokens == [0, 2]
+    zq, ids = quantize_residual(Tensor(z), book)
+    assert ids.tolist() == [0, 2]
     np.testing.assert_array_equal(zq.data, z)
 
 
 def test_depth_one_is_plain_vq():
     book = book_from_arrays([[(0.0, 0.0), (1.0, 1.0), (3.0, 3.0)]])
     z = np.array([[0.9, 1.1], [2.6, 2.4]])
-    zq, seq = quantize_residual(z, book)
-    assert seq.tokens == [1, 2]
+    zq, ids = quantize_residual(Tensor(z), book)
+    assert ids.tolist() == [1, 2]
     np.testing.assert_allclose(zq.data, [[1.0, 1.0], [3.0, 3.0]])
 
 
 def test_tie_goes_to_lowest_index():
     book = book_from_arrays([[(1.0, 0.0), (1.0, 0.0), (0.0, 0.0)]])
     z = np.array([[1.0, 0.0]])
-    _, seq = quantize_residual(z, book)
-    assert seq.tokens == [0]
+    _, ids = quantize_residual(Tensor(z), book)
+    assert ids.tolist() == [0]
     # equidistant between entries 0 and 2
     book2 = book_from_arrays([[(1.0, 0.0), (5.0, 5.0), (-1.0, 0.0)]])
-    _, seq2 = quantize_residual(np.array([[0.0, 0.0]]), book2)
-    assert seq2.tokens == [0]
+    _, ids2 = quantize_residual(Tensor(np.array([[0.0, 0.0]])), book2)
+    assert ids2.tolist() == [0]
 
 
 def test_quantize_matches_bruteforce_oracle():
@@ -149,10 +149,10 @@ def test_quantize_matches_bruteforce_oracle():
         t_len = int(rng.integers(1, 5))
         z = rng.normal(size=(dim, t_len)).T
         book = book_from_arrays(levels)
-        zq, seq = quantize_residual(z, book)
+        zq, ids = quantize_residual(Tensor(z), book)
         for t in range(t_len):
             tokens, total = brute_force_rvq(z[t], levels)
-            assert seq.tokens[t * depth : (t + 1) * depth] == tokens
+            assert ids[t * depth : (t + 1) * depth].tolist() == tokens
             np.testing.assert_allclose(zq.data[t], total, atol=1e-12)
 
 
@@ -179,13 +179,13 @@ def test_residual_monotone_with_zero_entry():
 def test_quantize_usage_counts():
     book = book_from_arrays([[(0.0, 0.0), (1.0, 1.0)]])
     z = np.array([[1.0, 1.0], [0.9, 1.1], [0.0, 0.1]])
-    quantize_residual(z, book, update_usage=True)
+    quantize_residual(Tensor(z), book, update_usage=True)
     assert book.usage[0].tolist() == [1, 2]
 
 
 def test_empty_codebook():
     with pytest.raises(EmptyCodebook):
-        quantize_residual(np.zeros((1, 2)), Codebook(levels=[], usage=[]))
+        quantize_residual(Tensor(np.zeros((1, 2))), Codebook(levels=[], usage=[]))
 
 
 def test_encode_shapes_and_padding():
@@ -213,7 +213,7 @@ def test_decode_shape_and_clamp():
     store = init_codec_params(cfg, np.random.default_rng(1))
     # blow up decoder weights so raw outputs exceed [-1, 1]
     store["dec0.proj.w"].data *= 1000.0
-    zq = np.random.default_rng(2).normal(size=(4, cfg.code_dim))
+    zq = Tensor(np.random.default_rng(2).normal(size=(4, cfg.code_dim)))
     m = decode(zq, cfg, store)
     assert m.rows.shape == (8, 9)
     assert m.scaled
@@ -380,7 +380,9 @@ def test_tokenize_detokenize_contracts():
     seq = tokenize(g, store, codebook, cfg)
     expected_frames = -(-g.command_count() // cfg.rate)
     assert len(seq.tokens) == cfg.rvq_depth * expected_frames
+    assert all(type(t) is int for t in seq.tokens)
     assert all(0 <= t < cfg.rvq_depth * cfg.codebook_size for t in seq.tokens)
+    assert seq.layout == cfg.layout
     assert seq.meta["orig_len"] == g.command_count()
 
     out, report = detokenize(seq, store, codebook, cfg)
@@ -391,10 +393,7 @@ def test_tokenize_detokenize_contracts():
     assert out.viewbox == g.viewbox
 
     with pytest.raises(BadTokenId):
-        bad = StrokeTokenSeq(
-            tokens=[cfg.rvq_depth * cfg.codebook_size],
-            meta=seq.meta,
-        )
+        bad = StrokeTokenSeq([cfg.rvq_depth * cfg.codebook_size], seq.layout, seq.meta)
         _, _ = detokenize(bad, store, codebook, cfg)
 
 
@@ -407,16 +406,15 @@ def test_lookup_tokens_total_on_any_valid_ids():
 
 
 def test_token_file_round_trip(tmp_path):
-    cfg = small_cfg()
-    seq = StrokeTokenSeq(tokens=[0, 9, 3, 11], meta={})
-    p = tmp_path / "g.tok"
-    save_tokens(seq, str(p), cfg)
-    text = p.read_text().splitlines()
-    assert text[0] == "# stroketok v1 d=2 B=8 stages=1"
-    assert text[1:] == ["0", "9", "3", "11"]
-    loaded = load_tokens(str(p))
-    assert loaded.tokens == seq.tokens
-    assert loaded.meta["codebook_size"] == 8
+    """The header is the sequence's own layout, and loading gives it back."""
+    for layout, header in (((2, 8, 1), "d=2 B=8 stages=1"), ((3, 16, 2), "d=3 B=16 stages=2")):
+        seq = StrokeTokenSeq(tokens=[0, 9, 3, 11], layout=layout)
+        p = tmp_path / "g.tok"
+        save_tokens(seq, str(p))
+        text = p.read_text().splitlines()
+        assert text[0] == f"# stroketok v1 {header}"
+        assert text[1:] == ["0", "9", "3", "11"]
+        assert load_tokens(str(p)) == seq
 
 
 @pytest.mark.parametrize(
@@ -679,7 +677,7 @@ def test_quantize_usage_tokens_and_lookup_match_scalar_loops():
         z = rng.normal(size=(dim, t_len)).T
         book = book_from_arrays(levels)
         book.usage[0][:] = 3  # counts accumulate onto what is there
-        _, seq = quantize_residual(z, book, update_usage=True)
+        _, ids = quantize_residual(Tensor(z), book, update_usage=True)
 
         residual = z.copy()
         level_ids = []
@@ -694,8 +692,7 @@ def test_quantize_usage_tokens_and_lookup_match_scalar_loops():
         for t in range(t_len):
             for level, idx in enumerate(level_ids):
                 tokens.append(int(level * size + idx[t]))
-        assert seq.tokens == tokens
-        assert all(type(tok) is int for tok in seq.tokens)
+        assert ids.tolist() == tokens
         for got, want in zip(book.usage, usage):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 

@@ -4,12 +4,13 @@ print one `sha256  relative/path` line per artifact, sorted by path.
     PYTHONPATH=src python tools/artifact_manifest.py [--workdir DIR] > manifest.txt
 
 The pipeline is gen-synth -> preprocess -> train-vq -> tokenize ->
-detokenize (with --meta) -> train-lm -> generate (greedy and sampled) ->
-evaluate, in-process through `stroketok.cli.main`, with the training logs
-written too. Every step is seeded, so two checkouts that produce the same
-bytes print the same manifest: a change meant to keep every artifact's
-bytes is checked with `diff parent.txt change.txt`. Without --workdir the
-run happens in a temporary directory that is removed afterwards.
+detokenize (with --meta, and once without it) -> train-lm -> generate
+(greedy, sampled, and greedy with the PI fixer) -> evaluate, in-process
+through `stroketok.cli.main`, with the training logs written too. Every
+step is seeded, so two checkouts that produce the same bytes print the
+same manifest: a change meant to keep every artifact's bytes is checked
+with `diff parent.txt change.txt`. Without --workdir the run happens in a
+temporary directory that is removed afterwards.
 """
 
 from __future__ import annotations
@@ -65,11 +66,15 @@ def run_pipeline(workdir: Path) -> None:
     for p in corpus:
         run("detokenize", "--ckpt", w / "vq.ckpt", "--in", w / "tok" / f"{p.stem}.tok",
             "--out", w / "rec" / p.name, "--meta", p)
+    # no --meta: the default viewbox, and the pad rows decoded too
+    run("detokenize", "--ckpt", w / "vq.ckpt", "--in", w / "tok" / f"{corpus[0].stem}.tok",
+        "--out", w / "rec_no_meta.json")
     run("train-lm", "--tokens", w / "tok", "--corpus", w / "corpus",
         "--config", w / "tiny.cfg", "--out", w / "lm.ckpt", "--log", w / "lm_log.json")
     (w / "gen").mkdir()
     for name, flags in (("greedy", ("--temperature", 0)),
-                        ("sampled", ("--temperature", 1, "--seed", 3))):
+                        ("sampled", ("--temperature", 1, "--seed", 3)),
+                        ("greedy_pi", ("--temperature", 0, "--fixer", "pi"))):
         run("generate", "--lm", w / "lm.ckpt", "--vq", w / "vq.ckpt",
             "--keywords", "circle", *flags, "--out", w / "gen" / f"{name}.json",
             "--tokens-out", w / "gen" / f"{name}.tok")
