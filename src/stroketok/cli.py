@@ -1,5 +1,6 @@
 """Command-line entry point: one binary, one subcommand per pipeline stage.
 
+Every subcommand runs in the calling process, one file after another.
 Exit codes: 0 success, 1 domain error (message on stderr), 2 usage error.
 All randomness is controlled by --seed (or the config file's seed). Given
 identical inputs, flags, and seed, every subcommand writes byte-identical
@@ -12,11 +13,9 @@ import argparse
 import dataclasses
 import json
 import logging
-import multiprocessing
 import statistics
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -98,20 +97,17 @@ def _write_decoded(g, report, path: Path) -> None:
         )
 
 
-def _preprocess_one(args):
-    src, max_commands, min_commands, min_keywords = args
-    path = Path(src)
+def _preprocess_one(path: Path, ns):
+    """The preprocessed graphic, or the reason it was skipped."""
     try:
         g = _load_graphic_file(path)
     except (MalformedSvg, EmptyGraphic, ValueError) as e:
-        return (path.stem, "error", str(e), None)
+        return str(e)
     g = simplify(g)
-    if min_keywords and len(g.keywords) < min_keywords:
-        return (path.stem, "rejected", "TooFewKeywords", None)
-    out = preprocess(g, max_commands=max_commands, min_commands=min_commands)
-    if isinstance(out, Rejected):
-        return (path.stem, "rejected", out.reason, None)
-    return (path.stem, "ok", "", dump_graphic(out))
+    if ns.min_keywords and len(g.keywords) < ns.min_keywords:
+        return "TooFewKeywords"
+    out = preprocess(g, max_commands=ns.max_commands, min_commands=ns.min_commands)
+    return out.reason if isinstance(out, Rejected) else out
 
 
 def cmd_gen_synth(ns) -> int:
@@ -132,21 +128,17 @@ def cmd_preprocess(ns) -> int:
     if not files:
         raise StroketokError(f"no .svg or .json files in {in_dir}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    jobs = [(str(p), ns.max_commands, ns.min_commands, ns.min_keywords) for p in files]
-    if ns.jobs > 1:
-        with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
-            results = list(pool.map(_preprocess_one, jobs))
-    else:
-        results = [_preprocess_one(j) for j in jobs]
+    # every file is read before any is written, so a read error writes nothing
+    results = [(p.stem, _preprocess_one(p, ns)) for p in files]
     kept = 0
     reasons: dict[str, int] = {}
-    for stem, status, reason, payload in results:
-        if status == "ok":
-            (out_dir / f"{stem}.json").write_text(payload)
-            kept += 1
+    for stem, out in results:
+        if isinstance(out, str):
+            reasons[out] = reasons.get(out, 0) + 1
+            log.warning("skipped %s: %s", stem, out)
         else:
-            reasons[reason] = reasons.get(reason, 0) + 1
-            log.warning("skipped %s: %s", stem, reason)
+            (out_dir / f"{stem}.json").write_text(dump_graphic(out))
+            kept += 1
     print(f"kept {kept}/{len(files)}; skipped: {reasons or 'none'}")
     return 0
 
@@ -278,18 +270,17 @@ def cmd_generate(ns) -> int:
     return 0
 
 
-def _evaluate_one(args, vq):
-    golden_text, cand_path, res, stroke_px = args
+def _evaluate_one(golden_path: Path, cand_path: Path, vq, ns):
     store, codebook, cfg = vq
-    golden = simplify(load_graphic(golden_text))
-    candidate = simplify(_load_graphic_file(Path(cand_path)))
+    golden = simplify(load_graphic(golden_path.read_text()))
+    candidate = simplify(_load_graphic_file(cand_path))
     t0 = time.perf_counter()
     gold_seq = tokenize(golden, store, codebook, cfg)
     cand_seq = tokenize(candidate, store, codebook, cfg)
     t1 = time.perf_counter()
     edit = edit_score(golden, candidate)
     t2 = time.perf_counter()
-    iou = pixel_iou(golden, candidate, res=res, stroke_px=stroke_px)
+    iou = pixel_iou(golden, candidate, res=ns.res, stroke_px=ns.stroke_px)
     t3 = time.perf_counter()
     cr = compression_ratio(code_length(golden), len(gold_seq.tokens))
     return {
@@ -302,60 +293,30 @@ def _evaluate_one(args, vq):
     }
 
 
-# the VQ model of one evaluate worker process, loaded once by its initializer
-_worker_vq = None
-
-
-def _init_evaluate_worker(ckpt: str) -> None:
-    global _worker_vq
-    try:
-        _worker_vq = load_vq_checkpoint(ckpt)
-    except (StroketokError, OSError, ValueError) as e:
-        # raised again by every task, so the parent reports it as --jobs 1 does
-        _worker_vq = e
-
-
-def _evaluate_in_worker(args):
-    if isinstance(_worker_vq, Exception):
-        raise _worker_vq
-    return _evaluate_one(args, _worker_vq)
-
-
 def cmd_evaluate(ns) -> int:
     golden_dir, cand_dir = Path(ns.golden), Path(ns.candidate)
     golden_files = sorted(golden_dir.glob("*.json"))
     if not golden_files:
         raise StroketokError(f"no golden .json graphics in {golden_dir}")
-    tasks = []
-    names = []
+    pairs = []
     for p in golden_files:
         for ext in (".json", ".svg"):
             cand = cand_dir / (p.stem + ext)
             if cand.exists():
-                tasks.append((p.read_text(), str(cand), ns.res, ns.stroke_px))
-                names.append(p.stem)
+                pairs.append((p, cand))
                 break
         else:
             log.warning("no candidate for %s; skipped", p.stem)
-    if not tasks:
+    if not pairs:
         raise StroketokError("no golden/candidate pairs found")
-    if ns.jobs > 1:
-        with ProcessPoolExecutor(
-            max_workers=ns.jobs,
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=_init_evaluate_worker,
-            initargs=(ns.ckpt,),
-        ) as pool:
-            records = list(pool.map(_evaluate_in_worker, tasks))
-    else:
-        vq = load_vq_checkpoint(ns.ckpt)
-        records = [_evaluate_one(t, vq) for t in tasks]
+    vq = load_vq_checkpoint(ns.ckpt)
 
     rows = []
-    for name, rec in zip(names, records):
+    for golden, cand in pairs:
+        rec = _evaluate_one(golden, cand, vq, ns)
         if not ns.timings:
             del rec["timings"]
-        rows.append({"name": name, **rec})
+        rows.append({"name": golden.stem, **rec})
     metrics_keys = ("edit", "cr", "cr_inverse", "recall", "pixel_iou")
     aggregates = {
         "mean": {k: statistics.fmean(r[k] for r in rows) for k in metrics_keys},
@@ -416,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-commands", type=int, default=1024)
     p.add_argument("--min-commands", type=int, default=2)
     p.add_argument("--min-keywords", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_preprocess)
 
     p = sub.add_parser("train-vq", help="train the stroke-token codec")
@@ -472,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--res", type=int, default=128)
     p.add_argument("--stroke-px", dest="stroke_px", type=int, default=2)
     p.add_argument("--timings", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("render", help="rasterize a graphic to PNG/PBM")

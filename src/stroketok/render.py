@@ -2,8 +2,8 @@
 
 Cubics are flattened (`flatten_cubic`) by recursive midpoint subdivision
 until the control points sit within FLATNESS_PX = 0.25 px of the chord, then
-every segment is drawn with an integer Bresenham walk and optionally dilated
-to the requested stroke width.
+every segment is drawn with an integer Bresenham walk, clipped to the canvas
+before it starts, and optionally dilated to the requested stroke width.
 MoveTo draws nothing. Bitmaps are boolean res x res grids, True = stroke on
 a white background.
 
@@ -57,25 +57,38 @@ def flatten_cubic(p0: Point, p1: Point, p2: Point, p3: Point) -> list[Point]:
 
 
 def _draw_segment(grid: np.ndarray, x0: int, y0: int, x1: int, y1: int) -> None:
+    """Mark the on-canvas pixels of the Bresenham walk from (x0, y0) to
+    (x1, y1).
+
+    Along the major axis x (|x1 - x0| >= |y1 - y0|; a y-major segment is
+    walked on the transposed grid), step k of the walk is at x0 + sx*k,
+    y0 + sy*((2*b*k + a) // (2*a)) for a = |x1 - x0|, b = |y1 - y0|: exactly
+    where the incremental walk (err = a - b, e2 = 2*err) puts it. So the
+    steps on the canvas form one range of k, found in closed form, and only
+    those are visited.
+    """
+    if abs(x1 - x0) < abs(y1 - y0):
+        grid, x0, y0, x1, y1 = grid.T, y0, x0, y1, x1
     res = grid.shape[0]
-    dx = abs(x1 - x0)
-    dy = -abs(y1 - y0)
+    a, b = abs(x1 - x0), abs(y1 - y0)
     sx = 1 if x0 < x1 else -1
     sy = 1 if y0 < y1 else -1
-    err = dx + dy
-    x, y = x0, y0
-    while True:
-        if 0 <= x < res and 0 <= y < res:
-            grid[y, x] = True
-        if x == x1 and y == y1:
-            break
-        e2 = 2 * err
-        if e2 >= dy:
-            err += dy
-            x += sx
-        if e2 <= dx:
-            err += dx
-            y += sy
+    k_lo, k_hi = 0, a
+    if not (0 <= x0 < res and 0 <= y0 < res and 0 <= x1 < res and 0 <= y1 < res):
+        # the steps that keep x, and the y offsets that keep y, on the canvas
+        x_lo, x_hi = sorted((-x0 * sx, (res - 1 - x0) * sx))
+        j_lo, j_hi = sorted((-y0 * sy, (res - 1 - y0) * sy))
+        k_lo, k_hi = max(0, x_lo), min(a, x_hi)
+        if b:
+            # the first step with offset >= j_lo (a ceiling division), the
+            # last with offset <= j_hi
+            k_lo = max(k_lo, -((a - 2 * a * j_lo) // (2 * b)))
+            k_hi = min(k_hi, (2 * a * j_hi + a - 1) // (2 * b))
+        elif not j_lo <= 0 <= j_hi:
+            return
+    two_a = 2 * a or 1  # a == 0 is a single pixel, offset 0
+    for k in range(k_lo, k_hi + 1):
+        grid[y0 + sy * ((2 * b * k + a) // two_a), x0 + sx * k] = True
 
 
 def _dilate(grid: np.ndarray, stroke_px: int) -> np.ndarray:
@@ -109,7 +122,10 @@ def rasterize(g: Graphic, res: int, stroke_px: int = 1) -> np.ndarray:
     sf = (res - 1) / extent
 
     def to_px(p: Point) -> Point:
-        return ((p[0] - min_x) * sf, (p[1] - min_y) * sf)
+        x, y = (p[0] - min_x) * sf, (p[1] - min_y) * sf
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"point {p} maps to the non-finite pixel ({x}, {y})")
+        return (x, y)
 
     grid = np.zeros((res, res), dtype=bool)
     for path in g.paths:

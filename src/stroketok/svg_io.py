@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, replace
 
@@ -41,7 +40,7 @@ from .model import (
     line_cmd,
     move_cmd,
 )
-from .pathdata import KAPPA, parse_path_data
+from .pathdata import KAPPA, _NUMBER_RE, parse_path_data
 
 log = logging.getLogger(__name__)
 
@@ -59,7 +58,7 @@ def _local(tag: str) -> str:
 def _floats(text: str, field: str) -> list[float]:
     """The numbers in `text`; MalformedSvg naming `field` if one overflows
     to infinity."""
-    vals = [float(t) for t in re.findall(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?", text)]
+    vals = [float(m.group(0)) for m in _NUMBER_RE.finditer(text)]
     if not all(map(math.isfinite, vals)):
         raise MalformedSvg(f"{field} {text!r} holds a non-finite number")
     return vals
@@ -191,10 +190,19 @@ def parse_svg(text: str) -> Graphic:
         raise MalformedSvg(f"invalid viewBox {vb_attr!r}")
     paths = tuple(Path(tuple(sub)) for sub in subpaths)
     g = simplify(Graphic(paths=paths, viewbox=(0.0, 0.0, 1.0, 1.0)))
+    for cmd in g.all_commands():
+        if not all(math.isfinite(v) for pt in cmd.points() for v in pt):
+            raise MalformedSvg(
+                f"geometry overflows: a lowered {cmd.cmd_type} command has points "
+                f"{cmd.points()}"
+            )
     # the document's viewBox, or the chained geometry's bounding box
     if vb_attr:
         return replace(g, viewbox=(vals[0], vals[1], vals[2], vals[3]))
-    return replace(g, viewbox=bounding_box(g.all_commands()))
+    vb = bounding_box(g.all_commands())
+    if not all(map(math.isfinite, vb)):
+        raise MalformedSvg(f"geometry overflows: its bounding box {vb} is not finite")
+    return replace(g, viewbox=vb)
 
 
 def simplify(g: Graphic) -> Graphic:

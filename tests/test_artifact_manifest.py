@@ -20,7 +20,7 @@ def test_cli_pipeline_is_byte_deterministic(tmp_path):
     assert paths == sorted(paths)
     for artifact in ("vq.ckpt", "lm.ckpt", "vq_log.json", "lm_log.json", "report.json",
                      "gen/greedy.tok", "gen/sampled.json.fixreport.json", "rec_no_meta.json",
-                     "gen/greedy_pi.json.fixreport.json"):
+                     "gen/greedy_pi.json.fixreport.json", "render.png", "render.pbm"):
         assert artifact in paths
     for stage in ("tok/", "rec/"):
         assert sum(p.startswith(stage) for p in paths) >= 12

@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -104,7 +108,7 @@ def test_generate_reports_raw_length_and_cap(pipeline, capsys):
     assert stops == {"EOS", "length cap"}
 
 
-def test_evaluate_loads_checkpoint_once_and_jobs_agree(pipeline, monkeypatch):
+def test_evaluate_loads_checkpoint_once(pipeline, monkeypatch):
     d = pipeline
     loads = []
     real = cli.load_vq_checkpoint
@@ -114,25 +118,43 @@ def test_evaluate_loads_checkpoint_once_and_jobs_agree(pipeline, monkeypatch):
         return real(path)
 
     monkeypatch.setattr(cli, "load_vq_checkpoint", counting)
-    common = ["evaluate", "--golden", str(d / "corpus"), "--candidate", str(d / "rec"),
-              "--ckpt", str(d / "vq.ckpt")]
-    assert cli.main(common + ["--report", str(d / "r1.json"), "--jobs", "1"]) == 0
+    assert cli.main(["evaluate", "--golden", str(d / "corpus"), "--candidate",
+                     str(d / "rec"), "--ckpt", str(d / "vq.ckpt"),
+                     "--report", str(d / "r1.json")]) == 0
     assert loads == [str(d / "vq.ckpt")]
-    assert cli.main(common + ["--report", str(d / "r2.json"), "--jobs", "2"]) == 0
-    assert (d / "r1.json").read_bytes() == (d / "r2.json").read_bytes()
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_evaluate_bad_checkpoint_exits_1(pipeline, capsys, jobs):
+def test_evaluate_bad_checkpoint_exits_1(pipeline, capsys):
     d = pipeline
-    bad = d / f"bad{jobs}.ckpt"
+    bad = d / "bad.ckpt"
     bad.write_bytes((d / "vq.ckpt").read_bytes()[:300])
     code = cli.main(["evaluate", "--golden", str(d / "corpus"), "--candidate",
                      str(d / "rec"), "--ckpt", str(bad), "--report",
-                     str(d / "bad.json"), "--jobs", jobs])
+                     str(d / "bad.json")])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (d / "bad.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--golden", "g", "--candidate", "c", "--ckpt", "k", "--report", "r"],
+    ["preprocess", "--in", "i", "--out", "o"],
+], ids=["evaluate", "preprocess"])
+def test_jobs_is_a_usage_error(argv, capsys):
+    assert cli.main(argv + ["--jobs", "2"]) == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+def test_cli_imports_no_process_pool():
+    """Every subcommand runs in the calling process, so importing the CLI
+    loads neither multiprocessing nor concurrent.futures."""
+    code = ("import sys, stroketok.cli; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+            "if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def assert_one_error_line(capsys):
@@ -225,6 +247,16 @@ def test_bad_tokenize_input_exits_1_with_one_line(pipeline, capsys, case, messag
          '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 8 8">'
          '<path d="M 0 0 L 1e999 5"/></svg>',
          "path number '1e999' at offset 8 is not finite"),
+        ("overflow_step.svg",
+         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 8 8">'
+         '<path d="M 1e308 0 l 1e308 5"/></svg>',
+         "geometry overflows: a lowered L command has points ((1e+308, 0.0), (inf,"),
+        ("overflow_span.svg",
+         '<svg xmlns="http://www.w3.org/2000/svg"><path d="M 1e308 0 L -1e308 5"/></svg>',
+         "geometry overflows: a lowered L command"),
+        ("overflow_bbox.svg",
+         '<svg xmlns="http://www.w3.org/2000/svg"><path d="M 1e308 0 L 0 0 L -1e308 5"/></svg>',
+         "geometry overflows: its bounding box (-1e+308, 0.0, inf, 5.0) is not finite"),
     ],
 )
 def test_non_finite_input_exits_1_with_one_line(pipeline, capsys, tmp_path, name, text,
@@ -237,6 +269,16 @@ def test_non_finite_input_exits_1_with_one_line(pipeline, capsys, tmp_path, name
         assert cli.main([str(a) for a in argv]) == 1, argv
         assert message in assert_one_error_line(capsys)
         assert not out.exists()
+
+
+def test_render_of_an_overflowing_pixel_exits_1_with_one_line(capsys, tmp_path):
+    src, out = tmp_path / "far.json", tmp_path / "far.png"
+    src.write_text('{"viewbox": [0, 0, 8, 8], "paths": [[["M", 0, 0, 0, 0, 0, 0, 0, 0], '
+                   '["L", 0, 0, 0, 0, 0, 0, 1e308, 5]]]}')
+    capsys.readouterr()
+    assert cli.main(["render", "--in", str(src), "--out", str(out)]) == 1
+    assert "maps to the non-finite pixel (inf, " in assert_one_error_line(capsys)
+    assert not out.exists()
 
 
 def test_token_layout_mismatch_exits_1_naming_both_layouts(pipeline, capsys, tmp_path):

@@ -1,8 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 
 from stroketok.model import Graphic, Path, cubic_cmd, line_cmd, move_cmd
-from stroketok.render import _flatten_cubic, rasterize, save_pbm, save_png
+from stroketok.render import _draw_segment, _flatten_cubic, rasterize, save_pbm, save_png
 from stroketok.svg_io import gen_synthetic
 
 
@@ -98,3 +100,48 @@ def test_file_outputs(tmp_path):
     # deterministic bytes
     save_png(grid, str(png))
     assert png.read_bytes() == blob
+
+
+def reference_walk(res, x0, y0, x1, y1):
+    """The unclipped Bresenham walk the rasterizer used before clipping:
+    every pixel of the segment visited, the off-canvas ones skipped."""
+    grid = np.zeros((res, res), dtype=bool)
+    dx, dy = abs(x1 - x0), -abs(y1 - y0)
+    sx = 1 if x0 < x1 else -1
+    sy = 1 if y0 < y1 else -1
+    err = dx + dy
+    x, y = x0, y0
+    while True:
+        if 0 <= x < res and 0 <= y < res:
+            grid[y, x] = True
+        if x == x1 and y == y1:
+            break
+        e2 = 2 * err
+        if e2 >= dy:
+            err += dy
+            x += sx
+        if e2 <= dx:
+            err += dx
+            y += sy
+    return grid
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 16), (-40, 56)], ids=["on_canvas", "crossing"])
+def test_clipped_walk_draws_the_unclipped_pixels(lo, hi):
+    """Segments with both ends on the canvas, and segments that cross its
+    edges, light exactly the pixels of the unclipped walk."""
+    rng = np.random.default_rng(0)
+    res = 16
+    for x0, y0, x1, y1 in rng.integers(lo, hi, size=(2000, 4)).tolist():
+        grid = np.zeros((res, res), dtype=bool)
+        _draw_segment(grid, x0, y0, x1, y1)
+        assert np.array_equal(grid, reference_walk(res, x0, y0, x1, y1)), (x0, y0, x1, y1)
+
+
+@pytest.mark.parametrize("far", [1e6, 1e300])
+def test_far_segment_renders_fast(far):
+    g = one_path([move_cmd((0, 0), (0, 0)), line_cmd((0, 0), (far, 5))], vb=(0, 0, 8, 8))
+    t0 = time.perf_counter()
+    grid = rasterize(g, 256)
+    assert time.perf_counter() - t0 < 0.1
+    assert grid[0, 0] and grid.sum() == 256

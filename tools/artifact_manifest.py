@@ -4,8 +4,9 @@ print one `sha256  relative/path` line per artifact, sorted by path.
     PYTHONPATH=src python tools/artifact_manifest.py [--workdir DIR] > manifest.txt
 
 The pipeline is gen-synth -> preprocess -> train-vq -> tokenize ->
-detokenize (with --meta, and once without it) -> train-lm -> generate
-(greedy, sampled, and greedy with the PI fixer) -> evaluate, in-process
+detokenize (with --meta, and once without it) -> render (one
+reconstruction, to PNG and to PBM) -> train-lm -> generate (greedy,
+sampled, and greedy with the PI fixer) -> evaluate, in-process
 through `stroketok.cli.main`, with the training logs written too. Every
 step is seeded, so two checkouts that produce the same bytes print the
 same manifest: a change meant to keep every artifact's bytes is checked
@@ -69,6 +70,8 @@ def run_pipeline(workdir: Path) -> None:
     # no --meta: the default viewbox, and the pad rows decoded too
     run("detokenize", "--ckpt", w / "vq.ckpt", "--in", w / "tok" / f"{corpus[0].stem}.tok",
         "--out", w / "rec_no_meta.json")
+    for ext in (".png", ".pbm"):
+        run("render", "--in", w / "rec" / corpus[0].name, "--out", w / f"render{ext}")
     run("train-lm", "--tokens", w / "tok", "--corpus", w / "corpus",
         "--config", w / "tiny.cfg", "--out", w / "lm.ckpt", "--log", w / "lm_log.json")
     (w / "gen").mkdir()
