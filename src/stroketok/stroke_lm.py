@@ -10,7 +10,8 @@ model scores every token uniformly (cross-entropy = ln V exactly).
 
 One forward serves every caller. `_trunk` runs a batch of samples as one
 right-padded (B, S, D) array through the blocks, with attention as one
-fused engine op over every head. Training runs one batched graph per step
+engine op over every head that skips the masked keys and the padding of
+shorter samples tile by tile. Training runs one batched graph per step
 (`batch_loss` over the minibatch); `sequence_loss` and `forward_logits` are
 its one-sample case.
 
@@ -214,10 +215,12 @@ def _trunk(
     """Hidden states (B, S, D) after the last block, for B samples at once.
 
     Sample b's rows are prompts[b] then token_rows[b], right-padded with PAD
-    to S = the longest sample's length. No key mask is needed for the
-    padding: it sits after the sample's last real row, so the causal mask
-    already hides it from every real row, and a real row's value and
-    gradient do not depend on it.
+    to S = the longest sample's length. Attention gets each sample's number
+    of real rows and skips the tiles of query rows that hold only a
+    sample's padding, leaving those rows 0: no padding row's value means
+    anything. No key mask is needed for the padding: it sits after the
+    sample's last real row, so the causal mask already hides it from every
+    real row, and a real row's value and gradient do not depend on it.
 
     `cache` (B = 1 only) is a dict owned by one decoding run holding each
     layer's K and V rows for the positions seen so far; the new rows start
@@ -231,7 +234,8 @@ def _trunk(
         list(prompt) + [n_words + t for t in tokens]
         for prompt, tokens in zip(prompts, token_rows)
     ]
-    s = max(map(len, rows))
+    lengths = [len(r) for r in rows]
+    s = max(lengths)
     if start + s > cfg.max_len:
         raise SequenceTooLong(f"{start + s} positions > max_len {cfg.max_len}")
     pad = n_words + vocab.pad_id
@@ -252,7 +256,7 @@ def _trunk(
                 k = concat([kv["k"], k], axis=1)
                 v = concat([kv["v"], v], axis=1)
             kv["k"], kv["v"] = k, v
-        a = attention(q, k, v, cfg.heads, start)
+        a = attention(q, k, v, cfg.heads, lengths, start)
         x = add(x, linear(a, store[f"{p}.attn.wo"], store[f"{p}.attn.wob"]))
         h = layer_norm(x, store[f"{p}.ln2.g"], store[f"{p}.ln2.b"])
         h = relu(linear(h, store[f"{p}.mlp.w1"], store[f"{p}.mlp.b1"]))

@@ -3,30 +3,35 @@
 Just the machinery that training the codec and the toy sequence model
 runs: `add`, `mul`, `relu`, `reshape`, `concat`, `stop_gradient`,
 `take_rows` and its adjoint `place_rows`, `conv1d` and `conv_transpose1d`
-(both with a bias), `linear`, `embedding` (row gather), fused causal
-multi-head `attention`, `layer_norm`, weighted `mse_loss`, masked
-`cross_entropy`; then Adam (`optimizer_step`), the minibatch iterator both
-trainers share, and the STKT checkpoint container. Every recorded op stores
-a closure that scatters the incoming gradient to its parents; backward()
-walks the graph in reverse topological order, and a parent that records no
-gradient gets none computed. Ops that only tests build oracles from (sub,
-matmul, transpose2d, softmax, narrow, sum_all, mean_all) live in
+(both with a bias), `linear`, `embedding` (row gather), causal multi-head
+`attention` (one op, tiled over query rows), `layer_norm`, weighted
+`mse_loss`, masked `cross_entropy`; then Adam (`optimizer_step`, in
+place), the minibatch iterator both trainers share, and the STKT
+checkpoint container. Every recorded op stores a closure that scatters the
+incoming gradient to its parents; backward() walks the graph in reverse
+topological order, and a parent that records no gradient gets none
+computed. Ops that only tests build oracles from (sub, matmul,
+transpose2d, softmax, narrow, sum_all, mean_all) live in
 `tests/oracle_ops.py`.
 
 Rows are time-major throughout. The sequence-model ops take leading axes:
 `linear`, `layer_norm`, `relu` and `add` act on (..., D) rows however many
 leading axes there are, `embedding` takes ids of any shape, and `attention`
-takes (B, S, D) queries against (B, T, D) keys and values and splits D into
-heads itself. The convolutions take (L, C) rows; several samples run as one
-sequence with zero rows between them (the codec's `Packing`). Both are
-GEMMs over im2col windows (`_im2col`, one strided view copied once) and
-their adjoint (`_col2im`, one strided add per tap).
+takes (B, S, D) queries against (B, T, D) keys and values, splits D into
+heads itself, and takes each sample's number of real rows: it scores no
+key above a query tile's diagonal and no tile that holds only a sample's
+padding, whose output rows it leaves at 0. The convolutions take (L, C)
+rows; several samples run as one sequence with zero rows between them (the
+codec's `Packing`). Both are GEMMs over im2col windows (`_im2col`, one
+strided view copied once) and their adjoint (`_col2im`, one strided add
+per tap).
 
 All math is float64 and deterministic (fixed reduction order), so identical
 seeds give bit-identical parameters. The one scatter whose indices may
 repeat, `embedding`'s backward, uses np.add.at, which adds in index order.
 Every other backward writes each gradient entry from one place, by slicing
-or by assignment (`_col2im` adds one strided slice per tap).
+or by assignment (`_col2im` adds one strided slice per tap; `attention`
+adds its key and value gradients tile by tile, in tile order).
 """
 
 from __future__ import annotations
@@ -47,6 +52,8 @@ CHECKPOINT_FORMAT_VERSION = "checkpoint STKT v1"
 # score of a masked attention key: far below any real score, so exp() of
 # it after max-subtraction is exactly 0
 _MASKED = -1e9
+# query rows per attention tile
+_TILE = 64
 
 
 class ShapeMismatch(StroketokError):
@@ -435,20 +442,37 @@ def embedding(table: Tensor, ids) -> Tensor:
     return _make(out_data, (table,), bw)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, start: int = 0) -> Tensor:
+def attention(
+    q: Tensor, k: Tensor, v: Tensor, heads: int, lengths, start: int = 0
+) -> Tensor:
     """Causal multi-head scaled dot-product attention as one op.
 
     q (B, S, D) holds the rows at positions start .. start+S-1; k and v
     (B, start+S, D) hold every position up to the last query (`start` > 0
-    when earlier keys and values come from a decoding cache). Each of the
-    `heads` heads owns dh = D / heads consecutive columns, and works in
-    (B, H, S, dh):
+    when earlier keys and values come from a decoding cache). Sample b's
+    real rows are its first lengths[b] (1 <= lengths[b] <= S); the rest are
+    padding. Each of the `heads` heads owns dh = D / heads consecutive
+    columns, and works in (B, H, S, dh):
 
         out_h[i] = softmax_j(q_h[i] . k_h[j] / sqrt(dh) + mask[i, j]) @ v_h
 
     where mask is -1e9 for j > start + i (a later position) and 0 otherwise,
     so a masked key gets weight exactly 0. Output (B, S, D), the heads'
     columns in head order.
+
+    The queries run in tiles of `_TILE` rows (the tiling of FlashAttention,
+    Dao et al. 2022, without its online softmax: a tile sees all of its
+    keys at once, so each row's softmax is exact). The tile of rows
+    [i0, i1) scores only keys [0, start + i1), masks only its diagonal
+    block, and runs only the samples with more than i0 real rows. So the
+    keys above a tile's diagonal are never scored, and sample b's rows in a
+    tile that starts at or past lengths[b] are never computed: their output
+    and their q, k and v gradients are left at 0. Real rows never see those
+    rows (the causal mask hides them). With S <= `_TILE` the one tile holds
+    every sample and every key, and runs on slices of the inputs. The
+    backward reuses each tile's weights, writes the query gradient tile by
+    tile, and adds the key and value gradients of the later tiles to the
+    first tile's in tile order.
     """
     qd, kd, vd = q.data, k.data, v.data
     if qd.ndim != 3 or kd.shape != vd.shape or kd.ndim != 3:
@@ -461,36 +485,66 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, start: int = 0) -> Te
         )
     if heads < 1 or d % heads:
         raise ShapeMismatch(f"attention width {d} does not split into {heads} heads")
+    if len(lengths) != b or not all(1 <= n <= s for n in lengths):
+        raise ShapeMismatch(
+            f"attention lengths {list(lengths)} for {b} samples of {s} rows"
+        )
     dh = d // heads
     scale = 1.0 / np.sqrt(dh)
 
-    def split(a, n):  # (B, n, D) -> (B, H, n, dh)
+    def split(a, n):  # (B, n, D) -> (B, H, n, dh), a view of the buffers below
         return a.reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
 
-    def merge(a, n):  # (B, H, n, dh) -> (B, n, D)
-        return a.transpose(0, 2, 1, 3).reshape(b, n, d)
-
     qh, kh, vh = split(qd, s), split(kd, t), split(vd, t)
-    # p holds the scores, then (in place: these arrays are the op's bulk)
-    # the attention weights
-    p = qh @ kh.transpose(0, 1, 3, 2)
-    p *= scale
-    if s > 1:  # one query row, the last position, sees every key
-        p += np.triu(np.full((s, t), _MASKED), k=start + 1)
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    out_data = merge(p @ vh, s)
+    # outputs and grads no tile reaches stay 0; one tile reaches them all
+    alloc = np.empty if s <= _TILE else np.zeros
+    out_data = alloc((b, s, d))
+    out_h = split(out_data, s)
+    lengths = np.asarray(lengths)
+    # per tile: (its query rows, its keys, its attention weights), each
+    # index a plain slice over the batch while every sample takes part
+    tiles = []
+    for i0 in range(0, s, _TILE):
+        i1 = min(i0 + _TILE, s)
+        live = np.flatnonzero(lengths > i0)
+        batch = slice(None) if live.size == b else live
+        rows = (batch, slice(None), slice(i0, i1))
+        keys = (batch, slice(None), slice(0, start + i1))
+        # p holds the scores, then (in place: these arrays are the op's
+        # bulk) the attention weights
+        p = qh[rows] @ kh[keys].transpose(0, 1, 3, 2)
+        p *= scale
+        if i1 - i0 > 1:  # one query row, the last position, sees every key
+            p[..., start + i0 :] += np.triu(np.full((i1 - i0, i1 - i0), _MASKED), k=1)
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        out_h[rows] = p @ vh[keys]
+        tiles.append((rows, keys, p))
 
     def bw(g):
         gh = split(g, s)
-        # softmax backward, in place: dz = p * (dp - sum_j dp * p)
-        dz = gh @ vh.transpose(0, 1, 3, 2)
-        dz -= np.einsum("bhij,bhij->bhi", dz, p)[..., None]
-        dz *= p
-        _accum(q, merge(dz @ kh, s) * scale)
-        _accum(k, merge(dz.transpose(0, 1, 3, 2) @ qh, t) * scale)
-        _accum(v, merge(p.transpose(0, 1, 3, 2) @ gh, t))
+        dq, dk, dv = alloc((b, s, d)), alloc((b, t, d)), alloc((b, t, d))
+        dq_h, dk_h, dv_h = split(dq, s), split(dk, t), split(dv, t)
+        for n, (rows, keys, p) in enumerate(tiles):
+            g_tile = gh[rows]
+            # softmax backward, in place: dz = p * (dp - sum_j dp * p)
+            dz = g_tile @ vh[keys].transpose(0, 1, 3, 2)
+            dz -= np.einsum("bhij,bhij->bhi", dz, p)[..., None]
+            dz *= p
+            dq_h[rows] = dz @ kh[keys]
+            dk_tile = dz.transpose(0, 1, 3, 2) @ qh[rows]
+            dv_tile = p.transpose(0, 1, 3, 2) @ g_tile
+            if n == 0:  # every sample has a row in the first tile
+                dk_h[keys], dv_h[keys] = dk_tile, dv_tile
+            else:
+                dk_h[keys] += dk_tile
+                dv_h[keys] += dv_tile
+        dq *= scale
+        dk *= scale
+        _accum(q, dq)
+        _accum(k, dk)
+        _accum(v, dv)
 
     return _make(out_data, (q, k, v), bw)
 
@@ -661,11 +715,24 @@ def optimizer_step(store: ParameterStore, lr: float) -> None:
         g = p.grad
         m = store._m[name]
         v = store._v[name]
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), operation by operation
+        # in two scratch buffers; p.data is updated in place (no caller
+        # keeps an array of an earlier step)
+        step, den = np.empty_like(m), np.empty_like(v)
+        np.multiply(g, 1.0 - _BETA1, out=step)
         m *= _BETA1
-        m += (1.0 - _BETA1) * g
+        m += step
+        np.multiply(g, g, out=step)
+        step *= 1.0 - _BETA2
         v *= _BETA2
-        v += (1.0 - _BETA2) * (g * g)
-        p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
+        v += step
+        np.divide(m, bc1, out=step)
+        step *= lr
+        np.divide(v, bc2, out=den)
+        np.sqrt(den, out=den)
+        den += _ADAM_EPS
+        step /= den
+        p.data -= step
     store.zero_grads()
 
 

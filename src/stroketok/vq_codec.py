@@ -874,10 +874,25 @@ def load_tokens(path: str) -> StrokeTokenSeq:
                 f"(header {lines[0]!r})"
             )
         layout.append(int(value))
-    try:
-        tokens = [int(line) for line in lines[1:] if line.strip()]
-    except ValueError as e:
-        raise MalformedTokens(f"{path}: token lines must be integers ({e})") from e
+    # stroke ids only: PAD, BOS and EOS (d*B and up) belong to the LM, and
+    # a negative id would index the LM's embedding table from its end
+    vocab = layout[0] * layout[1]
+    tokens = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            tok = int(line)
+        except ValueError as e:
+            raise MalformedTokens(
+                f"{path}: line {lineno}: token lines must be integers ({e})"
+            ) from e
+        if not 0 <= tok < vocab:
+            raise MalformedTokens(
+                f"{path}: line {lineno}: token id {tok} is outside the stroke "
+                f"vocabulary [0, {vocab})"
+            )
+        tokens.append(tok)
     return StrokeTokenSeq(tokens, tuple(layout))
 
 

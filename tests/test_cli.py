@@ -196,6 +196,36 @@ def test_malformed_token_header_exits_1_with_one_line(pipeline, capsys, header):
     assert not (d / "bad.json").exists()
 
 
+@pytest.mark.parametrize("bad_id", [-1, 32, 34])
+def test_token_id_outside_the_stroke_vocabulary_exits_1_with_one_line(
+    pipeline, capsys, tmp_path, bad_id
+):
+    """With d=2 and B=16 the stroke ids are 0..31: 32 is PAD and 34 EOS, and
+    -1 would index the prompt words. Both readers stop on the file's line."""
+    d = pipeline
+    good = sorted((d / "tok").glob("*.tok"))
+    lines = good[0].read_text().splitlines()
+    assert lines[0].endswith("d=2 B=16 stages=1")
+    toks = tmp_path / "tok"
+    toks.mkdir()
+    for p in good:
+        (toks / p.name).write_bytes(p.read_bytes())
+    bad = toks / good[0].name
+    bad.write_text("\n".join(lines[:2] + [str(bad_id)] + lines[3:]) + "\n")
+    out = tmp_path / "out"
+    message = (f"{bad}: line 3: token id {bad_id} is outside the stroke "
+               "vocabulary [0, 32)")
+    for argv in (
+        ["detokenize", "--ckpt", d / "vq.ckpt", "--in", bad, "--out", out],
+        ["train-lm", "--tokens", toks, "--corpus", d / "corpus", "--config",
+         d / "tiny.cfg", "--out", out],
+    ):
+        capsys.readouterr()
+        assert cli.main([str(a) for a in argv]) == 1, argv
+        assert message in assert_one_error_line(capsys)
+        assert not out.exists()
+
+
 def rewrite_checkpoint(src, dst, drop=(), replace=None):
     named = load_named_tensors(str(src))
     for key in drop:

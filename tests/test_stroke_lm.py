@@ -179,6 +179,48 @@ def test_pad_positions_zero_gradient():
     assert np.allclose(pad_row_grad, 0.0)
 
 
+def test_batch_over_attention_tiles_matches_its_samples():
+    """Over three attention tiles, where the shorter samples drop out of
+    the later ones, a batch's loss and grads are the mean of its samples'
+    own."""
+    pairs = make_pairs()
+    vocab = build_vocab(pairs)
+    cfg = tiny_cfg(max_len=176)
+    store = randomized_store(vocab, cfg, seed=3)
+    prompts = [build_prompt(kw, vocab) for kw, _ in pairs[:3]]
+    rng = np.random.default_rng(3)
+    seqs = [
+        [int(t) for t in rng.integers(0, vocab.stroke_vocab, size=n)] for n in (70, 150, 9)
+    ]
+
+    loss_batch = batch_loss(prompts, seqs, store, vocab, cfg)
+    backward(loss_batch)
+    batch_grads = {name: t.grad for name, t in store.trainable()}
+    store.zero_grads()
+    singles = []
+    for p, seq in zip(prompts, seqs):
+        loss = sequence_loss(p, seq, store, vocab, cfg)
+        backward(mul(loss, Tensor(np.array(1.0 / len(seqs)))))
+        singles.append(float(loss.data))
+    assert float(loss_batch.data) == pytest.approx(np.mean(singles), abs=1e-12)
+    for name, t in store.trainable():
+        assert np.max(np.abs(batch_grads[name] - t.grad)) <= 1e-12, name
+
+
+def test_training_on_multi_tile_sequences_is_deterministic():
+    """Sequences of 100-200 tokens run over several attention tiles; the
+    tiles' key and value grads add in a fixed order."""
+    rng = np.random.default_rng(3)
+    pairs = [
+        (kw, StrokeTokenSeq([int(t) for t in rng.integers(0, 16, size=n)], (2, 8, 1)))
+        for (kw, _), n in zip(make_pairs(), (100, 200, 150, 130))
+    ]
+    cfg = tiny_cfg(embed_dim=16, max_len=216, steps=3, batch_size=3)
+    runs = [train_lm(pairs, cfg)[0].state_dict() for _ in range(2)]
+    for name, value in runs[0].items():
+        assert value.tobytes() == runs[1][name].tobytes(), name
+
+
 def test_train_freezes_prompt_table():
     pairs = make_pairs()
     cfg = tiny_cfg(steps=20, batch_size=2)

@@ -228,20 +228,33 @@ def test_gradcheck_all_primitives():
     fd_check(lambda: mean_all(mul(sub(sa, sb), sa)), [sa, sb])
 
 
-def per_head_attention(q, k, v, heads, start):
-    """Plain-numpy causal attention, one (batch, head) pair at a time."""
+def per_head_attention(q, k, v, heads, start, g=None):
+    """Plain-numpy causal attention, one (batch, head, row) at a time: the
+    output, and with an output gradient `g` also the q, k and v grads."""
     b, s, d = q.shape
     dh = d // heads
+    scale = 1.0 / np.sqrt(dh)
     out = np.zeros_like(q)
+    dq, dk, dv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
     for bi in range(b):
         for h in range(heads):
             cols = slice(h * dh, (h + 1) * dh)
             for i in range(s):
                 seen = start + i + 1
-                z = k[bi, :seen, cols] @ q[bi, i, cols] / np.sqrt(dh)
+                keys, values = k[bi, :seen, cols], v[bi, :seen, cols]
+                z = keys @ q[bi, i, cols] / np.sqrt(dh)
                 w = np.exp(z - z.max())
-                out[bi, i, cols] = (w / w.sum()) @ v[bi, :seen, cols]
-    return out
+                w /= w.sum()
+                out[bi, i, cols] = w @ values
+                if g is None:
+                    continue
+                gi = g[bi, i, cols]
+                dv[bi, :seen, cols] += w[:, None] * gi
+                dw = values @ gi
+                dz = w * (dw - dw @ w) * scale
+                dq[bi, i, cols] = dz @ keys
+                dk[bi, :seen, cols] += dz[:, None] * q[bi, i, cols]
+    return out if g is None else (out, dq, dk, dv)
 
 
 @pytest.mark.parametrize("heads", [1, 2, 4])
@@ -251,8 +264,33 @@ def test_attention_matches_per_head_loop(heads, start):
     q = rng.standard_normal((2, 5, 8))
     k = rng.standard_normal((2, start + 5, 8))
     v = rng.standard_normal((2, start + 5, 8))
-    got = attention(Tensor(q), Tensor(k), Tensor(v), heads, start).data
+    got = attention(Tensor(q), Tensor(k), Tensor(v), heads, [5, 5], start).data
     np.testing.assert_allclose(got, per_head_attention(q, k, v, heads, start), atol=1e-12)
+
+
+@pytest.mark.parametrize("start", [0, 3])
+def test_tiled_attention_over_ragged_samples_matches_per_head_loop(start):
+    """Three tiles of query rows; the second sample has no rows in the
+    last tile and the third none past the first. Real rows and every grad
+    match the loop; the rows no tile computes are 0."""
+    lengths = [150, 70, 9]
+    rng = np.random.default_rng(start)
+    q = rng.standard_normal((3, 150, 8))
+    k = rng.standard_normal((3, start + 150, 8))
+    v = rng.standard_normal((3, start + 150, 8))
+    # the loss reads real rows only, as the LM's does
+    g = rng.standard_normal(q.shape)
+    for b, n in enumerate(lengths):
+        g[b, n:] = 0.0
+    qt, kt, vt = (Tensor(a, requires_grad=True) for a in (q, k, v))
+    got = attention(qt, kt, vt, 2, lengths, start)
+    backward(sum_all(mul(got, Tensor(g))))
+    want, dq, dk, dv = per_head_attention(q, k, v, 2, start, g)
+    for b, n in enumerate(lengths):
+        np.testing.assert_allclose(got.data[b, :n], want[b, :n], rtol=0, atol=1e-12)
+    assert not got.data[1, 128:].any() and not got.data[2, 64:].any()
+    for t, want_grad in ((qt, dq), (kt, dk), (vt, dv)):
+        np.testing.assert_allclose(t.grad, want_grad, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("start", [0, 2])
@@ -262,7 +300,17 @@ def test_gradcheck_attention(start):
     k = rand_param(rng, 2, start + 3, 4)
     v = rand_param(rng, 2, start + 3, 4)
     w = Tensor(rng.standard_normal((2, 3, 4)))
-    fd_check(lambda: mean_all(mul(attention(q, k, v, 2, start), w)), [q, k, v])
+    fd_check(lambda: mean_all(mul(attention(q, k, v, 2, [3, 2], start), w)), [q, k, v])
+
+
+def test_gradcheck_attention_across_the_tile_edge():
+    """70 rows are two tiles; the second sample ends inside the second tile."""
+    rng = np.random.default_rng(70)
+    q = rand_param(rng, 2, 70, 4)
+    k = rand_param(rng, 2, 70, 4)
+    v = rand_param(rng, 2, 70, 4)
+    w = Tensor(rng.standard_normal((2, 70, 4)))
+    fd_check(lambda: mean_all(mul(attention(q, k, v, 2, [70, 66]), w)), [q, k, v])
 
 
 def test_gradcheck_batched_linear_and_embedding():
@@ -287,15 +335,18 @@ def test_batched_ops_shape_errors():
         return Tensor(np.ones(shape))
 
     good = (t(2, 3, 4), t(2, 5, 4), t(2, 5, 4))
-    assert attention(*good, 2, 2).data.shape == (2, 3, 4)
+    assert attention(*good, 2, [3, 1], 2).data.shape == (2, 3, 4)
     bad_calls = [
-        lambda: attention(*good, 3, 2),  # D = 4 does not split into 3 heads
-        lambda: attention(*good, 0, 2),
-        lambda: attention(*good, 2, 1),  # keys must cover start + S positions
-        lambda: attention(t(3, 4), t(5, 4), t(5, 4), 2, 2),
-        lambda: attention(t(2, 3, 4), t(2, 5, 4), t(2, 4, 4), 2, 2),
-        lambda: attention(t(2, 3, 4), t(1, 5, 4), t(1, 5, 4), 2, 2),
-        lambda: attention(t(2, 3, 4), t(2, 5, 6), t(2, 5, 6), 2, 2),
+        lambda: attention(*good, 3, [3, 3], 2),  # D = 4 does not split into 3 heads
+        lambda: attention(*good, 0, [3, 3], 2),
+        lambda: attention(*good, 2, [3, 3], 1),  # keys must cover start + S positions
+        lambda: attention(*good, 2, [3], 2),  # one length per sample
+        lambda: attention(*good, 2, [3, 4], 2),  # a length above S
+        lambda: attention(*good, 2, [3, 0], 2),
+        lambda: attention(t(3, 4), t(5, 4), t(5, 4), 2, [3, 3], 2),
+        lambda: attention(t(2, 3, 4), t(2, 5, 4), t(2, 4, 4), 2, [3, 3], 2),
+        lambda: attention(t(2, 3, 4), t(1, 5, 4), t(1, 5, 4), 2, [3, 3], 2),
+        lambda: attention(t(2, 3, 4), t(2, 5, 6), t(2, 5, 6), 2, [3, 3], 2),
         lambda: linear(t(2, 3, 4), t(5, 6), t(6)),
         lambda: linear(t(2, 3, 4), t(4, 6), t(5)),
         lambda: linear(t(2, 3, 4), t(4), t(4)),
