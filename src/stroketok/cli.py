@@ -247,12 +247,10 @@ def cmd_generate(ns) -> int:
     lm_store, vocab, lm_cfg = load_lm_checkpoint(ns.lm)
     vq_store, codebook, vq_cfg = load_vq_checkpoint(ns.vq)
     check_layout(ns.lm, vocab.layout, ns.vq, vq_cfg.layout)
-    if ns.temperature is not None:
-        lm_cfg.temperature = ns.temperature
-    if ns.top_k is not None:
-        lm_cfg.top_k = ns.top_k
-    if ns.seed is not None:
-        lm_cfg.seed = ns.seed
+    flags = {"temperature": ns.temperature, "top_k": ns.top_k, "seed": ns.seed}
+    given = {k: v for k, v in flags.items() if v is not None}
+    # through the constructor's checks, as a config file's values go
+    lm_cfg = dataclasses.replace(lm_cfg, **given)
     keywords = ns.keywords.split()
     seq = lm_generate(keywords, lm_store, vocab, lm_cfg)
     if not seq.tokens:

@@ -9,19 +9,22 @@ blocks, and the output head do. The head starts at zero, so an untrained
 model scores every token uniformly (cross-entropy = ln V exactly).
 
 One forward serves every caller. `_trunk` runs a batch of samples as one
-right-padded (B, S, D) array through the blocks, with attention as one
-engine op over every head that skips the masked keys and the padding of
-shorter samples tile by tile. Training runs one batched graph per step
+right-padded (B, S, D) array through the blocks and addresses its rows by
+(sample, position) pairs: each embedding table takes its own ids, and the
+logits are read back at the token rows' pairs. Attention is one engine op
+over every head that skips the masked keys and the padding of shorter
+samples tile by tile. Training runs one batched graph per step
 (`batch_loss` over the minibatch); `sequence_loss` and `forward_logits` are
 its one-sample case.
 
-Generation decodes incrementally: one prefill pass runs the prompt and BOS
-and keeps every layer's attention K/V rows in a cache owned by the call;
-each further step runs only the newest token against that cache. Training
-and the loss always run the full sequence with no cache.
+Generation decodes incrementally, under `no_grad`: one prefill pass runs
+the prompt and BOS and writes every layer's K/V rows into a buffer of
+max_len rows owned by the call; each further step runs only the newest
+token and writes its K/V rows at the next position. Training and the loss
+always run the full sequence with no cache.
 
-Vocabulary layout: stroke ids [0, d*|B|), then PAD, BOS, EOS. Keyword words
-live in their own map (UNK = 0).
+Vocabulary layout: stroke ids [0, d*|B|), then PAD, BOS, EOS; PAD is never
+an input and never emitted. Keyword words live in their own map (UNK = 0).
 """
 
 from __future__ import annotations
@@ -39,24 +42,22 @@ from .tensor_engine import (
     add,
     attention,
     backward,
-    concat,
     cross_entropy,
     embedding,
     layer_norm,
     linear,
     no_grad,
     optimizer_step,
+    place_rows,
     relu,
-    reshape,
     take_rows,
 )
-from .vq_codec import StrokeTokenSeq
+from .vq_codec import Diverged, StrokeTokenSeq
 
 log = logging.getLogger(__name__)
 
 PROMPT_TEMPLATE = "Generating SVG according to keywords:"
 UNK_WORD = "<unk>"
-_NEG_INF = -1e9
 
 
 class EmptyKeywords(StroketokError):
@@ -84,10 +85,17 @@ class LmConfig:
     def __post_init__(self):
         if self.max_len < 2:
             raise ValueError("max_len must be >= 2")
+        for name in ("embed_dim", "steps", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.heads < 1 or self.embed_dim % self.heads:
             raise ValueError("embed_dim must divide evenly across heads")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        if not 0 < self.lr < np.inf:
+            raise ValueError("lr must be finite and > 0")
+        if not 0 <= self.temperature < np.inf:
+            raise ValueError("temperature must be finite and >= 0")
+        if self.top_k < 0:
+            raise ValueError("top_k must be >= 0")
 
 
 @dataclass
@@ -207,42 +215,48 @@ def _trunk(
     prompts: list[list[int]],
     token_rows: list[list[int]],
     store: ParameterStore,
-    vocab: Vocab,
     cfg: LmConfig,
     *,
     cache: dict | None = None,
-) -> Tensor:
-    """Hidden states (B, S, D) after the last block, for B samples at once.
+) -> tuple[Tensor, tuple[np.ndarray, np.ndarray]]:
+    """Hidden states (B, S, D) after the last block, for B samples at once,
+    and the (sample, position) index of the token rows in them.
 
-    Sample b's rows are prompts[b] then token_rows[b], right-padded with PAD
-    to S = the longest sample's length. Attention gets each sample's number
-    of real rows and skips the tiles of query rows that hold only a
-    sample's padding, leaving those rows 0: no padding row's value means
-    anything. No key mask is needed for the padding: it sits after the
-    sample's last real row, so the causal mask already hides it from every
-    real row, and a real row's value and gradient do not depend on it.
+    Sample b's rows are prompts[b] then token_rows[b], right-padded to S =
+    the longest sample's length. Each table takes its own ids. The frozen
+    `prompt_embed` never records a gradient, so the prompt rows are a
+    constant (B, S, D) array gathered in numpy; `place_rows` writes the
+    `token_embed` rows over it at their (sample, position) pairs, and the
+    padding rows embed as 0. Attention gets each sample's number of real
+    rows and skips the tiles of query rows that hold only a sample's
+    padding, leaving those rows 0: no padding row's value means anything.
+    No key mask is needed for the padding: it sits after the sample's last
+    real row, so the causal mask already hides it from every real row, and
+    a real row's value and gradient do not depend on it.
 
-    `cache` (B = 1 only) is a dict owned by one decoding run holding each
-    layer's K and V rows for the positions seen so far; the new rows start
-    after them, attend over them, and append their own K/V rows.
+    `cache` (B = 1) is a dict owned by one decoding run, and is valid only
+    under `no_grad`: the K and V that attention reads from it are constant
+    views. The prefill allocates one (2, 1, max_len, D) K/V buffer per
+    layer; each call writes its K and V rows at [start, start + S) and
+    attends over a view of rows [0, start + S), so no step copies the cache.
     """
     start = cache["positions"] if cache else 0
-    # prompt words and stroke tokens index one table: the frozen prompt
-    # rows first, then the token rows
-    n_words = store["prompt_embed"].data.shape[0]
-    rows = [
-        list(prompt) + [n_words + t for t in tokens]
-        for prompt, tokens in zip(prompts, token_rows)
-    ]
-    lengths = [len(r) for r in rows]
+    lengths = [len(p) + len(t) for p, t in zip(prompts, token_rows)]
     s = max(lengths)
     if start + s > cfg.max_len:
         raise SequenceTooLong(f"{start + s} positions > max_len {cfg.max_len}")
-    pad = n_words + vocab.pad_id
-    ids = np.array([row + [pad] * (s - len(row)) for row in rows], dtype=np.int64)
-    table = concat([store["prompt_embed"], store["token_embed"]], axis=0)
+    words = store["prompt_embed"].data
+    x0 = np.zeros((len(prompts), s, words.shape[1]))
+    for b, prompt in enumerate(prompts):
+        x0[b, : len(prompt)] = words[prompt]
+    rows = (
+        np.repeat(np.arange(len(prompts)), [len(t) for t in token_rows]),
+        np.concatenate([np.arange(len(p), n) for p, n in zip(prompts, lengths)]),
+    )
+    tokens = embedding(store["token_embed"], np.concatenate(token_rows))
     x = add(
-        embedding(table, ids), take_rows(store["pos_embed"], np.arange(start, start + s))
+        place_rows(tokens, rows, x0),
+        take_rows(store["pos_embed"], np.arange(start, start + s)),
     )
     for layer in range(cfg.layers):
         p = f"layer{layer}"
@@ -251,11 +265,12 @@ def _trunk(
             linear(h, store[f"{p}.attn.w{n}"], store[f"{p}.attn.w{n}b"]) for n in "qkv"
         )
         if cache is not None:
-            kv = cache.setdefault(p, {})
-            if kv:
-                k = concat([kv["k"], k], axis=1)
-                v = concat([kv["v"], v], axis=1)
-            kv["k"], kv["v"] = k, v
+            if not start:  # the prefill
+                cache[p] = np.empty((2, 1, cfg.max_len, words.shape[1]))
+            kv = cache[p]
+            kv[0, :, start : start + s] = k.data
+            kv[1, :, start : start + s] = v.data
+            k, v = Tensor(kv[0, :, : start + s]), Tensor(kv[1, :, : start + s])
         a = attention(q, k, v, cfg.heads, lengths, start)
         x = add(x, linear(a, store[f"{p}.attn.wo"], store[f"{p}.attn.wob"]))
         h = layer_norm(x, store[f"{p}.ln2.g"], store[f"{p}.ln2.b"])
@@ -263,14 +278,13 @@ def _trunk(
         x = add(x, linear(h, store[f"{p}.mlp.w2"], store[f"{p}.mlp.b2"]))
     if cache is not None:
         cache["positions"] = start + s
-    return x
+    return x, rows
 
 
 def _logits(x: Tensor, rows, store: ParameterStore) -> Tensor:
-    """Output logits (len(rows), V) for the given rows of the trunk's
-    (B, S, D) output, flattened (row b*S + i is sample b, position i)."""
-    picked = take_rows(reshape(x, (-1, x.data.shape[-1])), rows)
-    h = layer_norm(picked, store["ln_f.g"], store["ln_f.b"])
+    """Output logits (N, V) for the N rows of the trunk's (B, S, D) output
+    at `rows`, its (sample, position) pairs."""
+    h = layer_norm(take_rows(x, rows), store["ln_f.g"], store["ln_f.b"])
     return linear(h, store["head.w"], store["head.b"])
 
 
@@ -287,17 +301,20 @@ def forward_logits(
 
     token_ids start with BOS; causal attention runs over the whole
     prompt+token sequence, loss and sampling read token positions only.
-    This is the one-sample case of the batched trunk that training runs.
+    Prompt ids index the prompt table and token ids the token table, each
+    its own ids. `vocab` is not read (the token table's rows are the
+    vocabulary); it stays in the signature the benchmark calls. This is the
+    one-sample case of the batched trunk that training runs.
 
-    `cache`, when given, is a dict owned by one decoding run. It holds
-    each layer's K and V rows for the positions seen so far: the new
-    positions (prompt_ids, then token_ids) start after them, attend over
-    them, and append their own K/V rows. The first call with an empty dict
-    is the prefill; each later call passes `([], [token])` and runs one
-    position. Without a cache every position is recomputed.
+    `cache`, when given, is a dict owned by one decoding run under
+    `no_grad`. It holds a preallocated K/V buffer per layer and the number
+    of positions seen so far: the new positions (prompt_ids, then
+    token_ids) start after them, write their K/V rows into the buffer and
+    attend over every row written. The first call with an empty dict is the
+    prefill; each later call passes `([], [token])` and runs one position.
+    Without a cache every position is recomputed.
     """
-    x = _trunk([prompt_ids], [token_ids], store, vocab, cfg, cache=cache)
-    rows = np.arange(len(prompt_ids), len(prompt_ids) + len(token_ids))
+    x, rows = _trunk([prompt_ids], [token_ids], store, cfg, cache=cache)
     return _logits(x, rows, store)
 
 
@@ -322,11 +339,7 @@ def batch_loss(
                 f"prompt {len(prompt)} + sequence {len(seq)} + 2 > max_len {cfg.max_len}"
             )
     inputs = [[vocab.bos_id] + list(seq) for seq in seqs]
-    x = _trunk(prompts, inputs, store, vocab, cfg)
-    s = x.data.shape[1]
-    rows = np.concatenate(
-        [b * s + len(p) + np.arange(len(t)) for b, (p, t) in enumerate(zip(prompts, inputs))]
-    )
+    x, rows = _trunk(prompts, inputs, store, cfg)
     targets = np.concatenate([list(seq) + [vocab.eos_id] for seq in seqs])
     weights = np.concatenate([np.full(len(t), 1.0 / len(t)) for t in inputs])
     return cross_entropy(_logits(x, rows, store), targets, weights)
@@ -370,9 +383,12 @@ def train_lm(
             vocab,
             cfg,
         )
+        ce = float(total.data)
+        if not np.isfinite(ce):
+            raise Diverged(f"CE {ce} at step {step}")
         backward(total)
         optimizer_step(store, cfg.lr)
-        log_rows.append({"step": step, "ce": float(total.data)})
+        log_rows.append({"step": step, "ce": ce})
     return store, vocab, log_rows
 
 
@@ -392,7 +408,7 @@ def sample_from_logits(
         return int(np.argmax(row))
     if top_k > 0 and top_k < row.size:
         cutoff = np.sort(row)[-top_k]
-        row = np.where(row >= cutoff, row, _NEG_INF)
+        row = np.where(row >= cutoff, row, -np.inf)
     z = row / temperature
     z = z - z.max()
     probs = np.exp(z)
@@ -431,8 +447,7 @@ def generate(
                 break
             logits = forward_logits(context, new_ids, store, vocab, cfg, cache=cache)
             row = logits.data[-1].copy()
-            row[vocab.pad_id] = _NEG_INF
-            row[vocab.bos_id] = _NEG_INF
+            row[[vocab.pad_id, vocab.bos_id]] = -np.inf
             nxt = sample_from_logits(row, cfg.temperature, cfg.top_k, rng)
             if nxt == vocab.eos_id:
                 break

@@ -1,22 +1,24 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
 Just the machinery that training the codec and the toy sequence model
-runs: `add`, `mul`, `relu`, `reshape`, `concat`, `stop_gradient`,
-`take_rows` and its adjoint `place_rows`, `conv1d` and `conv_transpose1d`
-(both with a bias), `linear`, `embedding` (row gather), causal multi-head
-`attention` (one op, tiled over query rows), `layer_norm`, weighted
-`mse_loss`, masked `cross_entropy`; then Adam (`optimizer_step`, in
-place), the minibatch iterator both trainers share, and the STKT
-checkpoint container. Every recorded op stores a closure that scatters the
-incoming gradient to its parents; backward() walks the graph in reverse
-topological order, and a parent that records no gradient gets none
-computed. Ops that only tests build oracles from (sub, matmul,
-transpose2d, softmax, narrow, sum_all, mean_all) live in
-`tests/oracle_ops.py`.
+runs: `add`, `mul`, `relu`, `stop_gradient`, `take_rows` and its adjoint
+`place_rows`, `conv1d` and `conv_transpose1d` (both with a bias),
+`linear`, `embedding` (row gather), causal multi-head `attention` (one op,
+tiled over query rows), `layer_norm`, weighted `mse_loss`, masked
+`cross_entropy`; then Adam (`optimizer_step`, in place), the minibatch
+iterator both trainers share, and the STKT checkpoint container. Every
+recorded op stores a closure that scatters the incoming gradient to its
+parents; backward() walks the graph in reverse topological order, and a
+parent that records no gradient gets none computed. No op reshapes or
+concatenates: the program addresses rows by index instead. Ops that only
+tests build oracles from (sub, matmul, transpose2d, softmax, narrow,
+concat, sum_all, mean_all) live in `tests/oracle_ops.py`.
 
 Rows are time-major throughout. The sequence-model ops take leading axes:
 `linear`, `layer_norm`, `relu` and `add` act on (..., D) rows however many
-leading axes there are, `embedding` takes ids of any shape, and `attention`
+leading axes there are, `embedding` takes ids of any shape, `take_rows` and
+`place_rows` take an index of rows over the leading axes (the LM's
+(sample, position) pairs, the codec's packed rows), and `attention`
 takes (B, S, D) queries against (B, T, D) keys and values, splits D into
 heads itself, and takes each sample's number of real rows: it scores no
 key above a query tile's diagonal and no tile that holds only a sample's
@@ -237,18 +239,10 @@ def stop_gradient(x: Tensor) -> Tensor:
     return Tensor(x.data.copy())
 
 
-def reshape(x: Tensor, shape) -> Tensor:
-    out_data = x.data.reshape(shape)
-    orig = x.data.shape
-
-    def bw(g):
-        _accum(x, g.reshape(orig))
-
-    return _make(out_data, (x,), bw)
-
-
-def take_rows(x: Tensor, rows: np.ndarray) -> Tensor:
-    """x[rows] along the first axis; `rows` are distinct indices."""
+def take_rows(x: Tensor, rows) -> Tensor:
+    """x[rows]: `rows` indexes x's leading axes (one index array, or a
+    tuple of them such as (sample, position) pairs) and names distinct
+    rows."""
     out_data = x.data[rows]
 
     def bw(g):
@@ -259,31 +253,17 @@ def take_rows(x: Tensor, rows: np.ndarray) -> Tensor:
     return _make(out_data, (x,), bw)
 
 
-def place_rows(x: Tensor, rows: np.ndarray, n: int) -> Tensor:
-    """n rows of zeros with x's rows written at `rows` (distinct indices):
-    the adjoint of take_rows."""
-    out_data = np.zeros((n,) + x.data.shape[1:])
-    out_data[rows] = x.data
+def place_rows(x: Tensor, rows, out: np.ndarray) -> Tensor:
+    """`out` with x's rows written at `rows` (distinct rows over out's
+    leading axes, as in take_rows), in place. Only x records a gradient:
+    out's other rows are a constant. With `out` all zeros this is the
+    adjoint of take_rows."""
+    out[rows] = x.data
 
     def bw(g):
         _accum(x, g[rows])
 
-    return _make(out_data, (x,), bw)
-
-
-def concat(xs: list[Tensor], axis: int = 0) -> Tensor:
-    out_data = np.concatenate([t.data for t in xs], axis=axis)
-    sizes = [t.data.shape[axis] for t in xs]
-
-    def bw(g):
-        off = 0
-        for t, s in zip(xs, sizes):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(off, off + s)
-            _accum(t, g[tuple(idx)])
-            off += s
-
-    return _make(out_data, tuple(xs), bw)
+    return _make(out, (x,), bw)
 
 
 # ---------------------------------------------------------------------------

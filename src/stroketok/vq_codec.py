@@ -118,6 +118,8 @@ class CodecConfig:
             raise ValueError("codebook_size must be >= 2")
         if self.code_dim < 1 or self.alpha < 0:
             raise ValueError("code_dim must be >= 1 and alpha >= 0")
+        if not 0 < self.lr < np.inf:
+            raise ValueError("lr must be finite and > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.fixer not in _FIXER_CODES:
@@ -340,7 +342,8 @@ class Packing:
         """The samples' rows x at `level` laid out with zero gap rows."""
         if len(self.lengths) == 1:
             return x
-        return place_rows(x, self.real(level), self.size >> level)
+        zeros = np.zeros((self.size >> level,) + x.data.shape[1:])
+        return place_rows(x, self.real(level), zeros)
 
 
 def encode(

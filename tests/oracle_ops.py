@@ -1,5 +1,6 @@
 """Engine ops that only tests use: the per-head attention oracle, the
-per-sample codec oracle (`sub` for its straight-through estimator) and the
+per-sample codec oracle (`sub` for its straight-through estimator), the
+per-sample LM oracle (`concat` of prompt and token rows) and the
 finite-difference checks build on them. They record through the engine's
 own `_make`/`_accum`/`_unbroadcast`, so they join any graph the program's
 ops build."""
@@ -89,3 +90,18 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         _accum(x, y * (g - dot))
 
     return _make(y, (x,), bw)
+
+
+def concat(xs: list[Tensor], axis: int = 0) -> Tensor:
+    out_data = np.concatenate([t.data for t in xs], axis=axis)
+    sizes = [t.data.shape[axis] for t in xs]
+
+    def bw(g):
+        off = 0
+        for t, s in zip(xs, sizes):
+            idx = [slice(None)] * g.ndim
+            idx[axis] = slice(off, off + s)
+            _accum(t, g[tuple(idx)])
+            off += s
+
+    return _make(out_data, tuple(xs), bw)

@@ -19,7 +19,8 @@ def test_cli_pipeline_is_byte_deterministic(tmp_path):
     paths = [line.split("  ", 1)[1] for line in first]
     assert paths == sorted(paths)
     for artifact in ("vq.ckpt", "lm.ckpt", "vq_log.json", "lm_log.json", "report.json",
-                     "gen/greedy.tok", "gen/sampled.json.fixreport.json", "rec_no_meta.json",
+                     "gen/greedy.tok", "gen/sampled.json.fixreport.json", "gen/top_k.tok",
+                     "rec_no_meta.json",
                      "gen/greedy_pi.json.fixreport.json", "render.png", "render.pbm"):
         assert artifact in paths
     for stage in ("tok/", "rec/"):

@@ -165,6 +165,61 @@ def assert_one_error_line(capsys):
     return lines[0]
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("lm_steps = 0", "lm_steps must be >= 1"),
+        ("lm_embed_dim = 0", "lm_embed_dim must be >= 1"),
+        ("lm_lr = nan", "lm_lr must be finite and > 0"),
+        ("lr = -1", "lr must be finite and > 0"),
+        ("lm_lr = inf", "lm_lr must be finite and > 0"),
+    ],
+)
+def test_bad_training_values_exit_1_with_one_line(pipeline, capsys, tmp_path, line,
+                                                  message):
+    """A value no training can use stops train-lm before it trains, with one
+    line naming the config key."""
+    d = pipeline
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TINY_CONFIG + line + "\n")
+    capsys.readouterr()
+    assert cli.main(["train-lm", "--tokens", str(d / "tok"), "--corpus", str(d / "corpus"),
+                     "--config", str(cfg), "--out", str(tmp_path / "lm.ckpt")]) == 1
+    assert assert_one_error_line(capsys) == f"error: {message}"
+    assert not (tmp_path / "lm.ckpt").exists()
+
+
+def generate_argv(d, *flags):
+    return ["generate", "--lm", str(d / "lm.ckpt"), "--vq", str(d / "vq.ckpt"),
+            "--keywords", "circle", *flags, "--out", str(d / "gen.json")]
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--temperature", "nan"), "temperature must be finite and >= 0"),
+        (("--temperature", "-1"), "temperature must be finite and >= 0"),
+        (("--top-k", "-1"), "top_k must be >= 0"),
+    ],
+)
+def test_bad_sampling_flags_exit_1_with_one_line(pipeline, capsys, flags, message):
+    """generate's flags pass the same checks as the config file's values."""
+    capsys.readouterr()
+    assert cli.main(generate_argv(pipeline, *flags)) == 1
+    assert assert_one_error_line(capsys) == f"error: {message}"
+
+
+def test_huge_temperature_generates_stroke_ids_only(pipeline, capsys):
+    """At temperature 1e9 the draws are near uniform. A finite mask score
+    such as -1e9, divided by 1e9, no longer excludes PAD and BOS (ids d*B
+    and d*B + 1): with one, they are drawn on 3 of these 5 seeds and the
+    graphic fails to decode."""
+    for seed in range(1, 6):
+        assert cli.main(generate_argv(pipeline, "--temperature", "1e9",
+                                      "--seed", str(seed))) == 0
+    assert "error" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cut", [6, 300])
 def test_truncated_checkpoint_exits_1_with_one_line(pipeline, capsys, cut):
     d = pipeline

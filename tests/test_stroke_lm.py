@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from stroketok.stroke_lm import (
+    Diverged,
     EmptyKeywords,
     LmConfig,
     SequenceTooLong,
@@ -21,12 +22,12 @@ from stroketok.stroke_lm import (
     sequence_loss,
     train_lm,
 )
+from stroketok import stroke_lm
 from stroketok import tensor_engine as te
 from stroketok.tensor_engine import (
     Tensor,
     add,
     backward,
-    concat,
     cross_entropy,
     embedding,
     layer_norm,
@@ -36,7 +37,7 @@ from stroketok.tensor_engine import (
 )
 from stroketok.vq_codec import StrokeTokenSeq
 
-from oracle_ops import matmul, narrow, softmax, transpose2d
+from oracle_ops import concat, matmul, narrow, softmax, transpose2d
 
 
 def make_pairs(n_pairs=4, depth=2, size=8, seq_len=6, seed=0):
@@ -174,9 +175,8 @@ def test_pad_positions_zero_gradient():
     assert float(loss_batch.data) == pytest.approx(np.mean(singles), abs=1e-12)
 
     backward(loss_batch)
-    pad_row_grad = store["token_embed"].grad[vocab.pad_id]
-    # PAD embeddings only appear at masked positions: loss gradient is zero
-    assert np.allclose(pad_row_grad, 0.0)
+    # PAD is never an input: padding rows take no embedding row at all
+    assert not store["token_embed"].grad[vocab.pad_id].any()
 
 
 def test_batch_over_attention_tiles_matches_its_samples():
@@ -238,6 +238,46 @@ def test_config_rejects_empty_batches_and_uneven_heads(bad):
         tiny_cfg(**bad)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"steps": 0}, "steps must be >= 1"),
+        ({"embed_dim": 0}, "embed_dim must be >= 1"),
+        ({"lr": 0.0}, "lr must be finite and > 0"),
+        ({"lr": -1.0}, "lr must be finite and > 0"),
+        ({"lr": float("nan")}, "lr must be finite and > 0"),
+        ({"lr": float("inf")}, "lr must be finite and > 0"),
+        ({"temperature": -1.0}, "temperature must be finite and >= 0"),
+        ({"temperature": float("nan")}, "temperature must be finite and >= 0"),
+        ({"temperature": float("inf")}, "temperature must be finite and >= 0"),
+        ({"top_k": -1}, "top_k must be >= 0"),
+    ],
+)
+def test_config_rejects_values_that_crash_or_pass_silently(bad, message):
+    with pytest.raises(ValueError, match=message):
+        tiny_cfg(**bad)
+
+
+def test_train_raises_diverged_on_a_non_finite_ce():
+    # an absurd step size overflows the parameters after one update
+    with np.errstate(all="ignore"), pytest.raises(Diverged, match="at step"):
+        train_lm(make_pairs(), tiny_cfg(lr=1e300, steps=5))
+
+
+@pytest.mark.parametrize("bad_id", [-1, "total"])
+def test_token_id_outside_the_token_table_is_rejected(bad_id):
+    """Token ids index only the token table: -1 does not wrap around to a
+    row (of either table) and vocab.total is past the end."""
+    pairs = make_pairs()
+    vocab = build_vocab(pairs)
+    cfg = tiny_cfg()
+    store = init_lm_params(vocab, cfg)
+    prompt = build_prompt(pairs[0][0], vocab)
+    bad = vocab.total if bad_id == "total" else bad_id
+    with pytest.raises(te.ShapeMismatch, match="id out of range"):
+        sequence_loss(prompt, [0, bad, 1], store, vocab, cfg)
+
+
 def test_sequence_too_long():
     pairs = make_pairs(seq_len=6)
     vocab = build_vocab(pairs)
@@ -277,6 +317,25 @@ def test_generate_respects_max_len():
     assert out.meta["truncated"]
     assert out.meta["raw_len"] == cfg.max_len - prompt_len - 1
     assert len(out.tokens) % vocab.rvq_depth == 0
+
+
+def test_huge_temperature_never_emits_pad_or_bos(monkeypatch):
+    """The PAD/BOS mask survives division by any finite temperature: at
+    1e9 the other ids are drawn almost uniformly, and PAD and BOS never."""
+    drawn = []
+
+    def recording(*args):
+        drawn.append(sample_from_logits(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(stroke_lm, "sample_from_logits", recording)
+    cfg = tiny_cfg(temperature=1e9, max_len=24)
+    pairs, vocab, store = random_lm(cfg)
+    for seed in range(1, 9):
+        cfg.seed = seed
+        generate(pairs[0][0], store, vocab, cfg)
+    assert len(set(drawn)) > vocab.stroke_vocab // 2
+    assert vocab.pad_id not in drawn and vocab.bos_id not in drawn
 
 
 def test_sampling_distribution_chi_square():
@@ -343,8 +402,7 @@ def oracle_generate(keywords, store, vocab, cfg, rng=None):
                 return out, True
             logits = forward_logits(prompt_ids, token_ids, store, vocab, cfg)
             row = logits.data[-1].copy()
-            row[vocab.pad_id] = -1e9
-            row[vocab.bos_id] = -1e9
+            row[[vocab.pad_id, vocab.bos_id]] = -np.inf
             nxt = sample_from_logits(row, cfg.temperature, cfg.top_k, rng)
             if nxt == vocab.eos_id:
                 return out, False
@@ -417,6 +475,38 @@ def test_seeded_sampling_matches_oracle():
         assert got.meta["raw_len"] == len(want) > 0
         assert got.meta["truncated"] == truncated
         assert got.tokens == want[: len(want) - len(want) % vocab.rvq_depth]
+
+
+def test_decode_steps_write_into_the_buffers_of_the_prefill(monkeypatch):
+    """The prefill allocates each layer's K/V buffer once; every decode
+    step's attention reads its K and V as views of those buffers, so no
+    step copies the cache."""
+    cfg = tiny_cfg(layers=2, max_len=24)
+    pairs, vocab, store = random_lm(cfg)
+    seen = []
+    real = stroke_lm.attention
+
+    def capturing(q, k, v, *args):
+        seen.append((k.data, v.data))
+        return real(q, k, v, *args)
+
+    cache = {}
+    with no_grad():
+        forward_logits(build_prompt(pairs[0][0], vocab), [vocab.bos_id],
+                       store, vocab, cfg, cache=cache)
+        buffers = [b for b in cache.values() if isinstance(b, np.ndarray)]
+        monkeypatch.setattr(stroke_lm, "attention", capturing)
+        for t in (3, 5, 7):
+            forward_logits([], [t], store, vocab, cfg, cache=cache)
+    assert len(buffers) == cfg.layers
+    assert [b for b in cache.values() if isinstance(b, np.ndarray)] == buffers
+    assert all(b.shape == (2, 1, cfg.max_len, cfg.embed_dim) for b in buffers)
+    assert len(seen) == 3 * cfg.layers
+    for n, (k, v) in enumerate(seen):
+        positions = cache["positions"] - 2 + n // cfg.layers
+        buffer = buffers[n % cfg.layers]
+        assert k.shape == v.shape == (1, positions, cfg.embed_dim)
+        assert np.shares_memory(k, buffer) and np.shares_memory(v, buffer)
 
 
 def test_cache_counts_toward_max_len():

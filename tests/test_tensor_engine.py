@@ -10,7 +10,6 @@ from stroketok.tensor_engine import (
     Tensor,
     attention,
     backward,
-    concat,
     conv1d,
     conv_transpose1d,
     cross_entropy,
@@ -23,12 +22,23 @@ from stroketok.tensor_engine import (
     mul,
     no_grad,
     optimizer_step,
+    place_rows,
     relu,
     save_named_tensors,
     stop_gradient,
+    take_rows,
 )
 
-from oracle_ops import matmul, mean_all, narrow, softmax, sub, sum_all, transpose2d
+from oracle_ops import (
+    concat,
+    matmul,
+    mean_all,
+    narrow,
+    softmax,
+    sub,
+    sum_all,
+    transpose2d,
+)
 
 FD_H = 1e-5
 FD_TOL = 1e-4
@@ -328,6 +338,34 @@ def test_gradcheck_batched_linear_and_embedding():
     assert embedding(table, ids).data.shape == (2, 3, 3)
     we = Tensor(rng.standard_normal((2, 3, 3)))
     fd_check(lambda: mean_all(mul(embedding(table, ids), we)), [table])
+
+
+def test_rows_by_sample_and_position():
+    """take_rows and place_rows over a (sample, position) index: both pass
+    a gradcheck, they are adjoint, and place_rows writes into the array it
+    is given, leaving its other rows as they were."""
+    rng = np.random.default_rng(5)
+    rows = (np.array([0, 0, 1, 2, 2]), np.array([1, 3, 0, 2, 3]))
+    x = rand_param(rng, 3, 4, 2)
+    wt = Tensor(rng.standard_normal((5, 2)))
+    fd_check(lambda: mean_all(mul(take_rows(x, rows), wt)), [x])
+    y = rand_param(rng, 5, 2)
+    base = rng.standard_normal((3, 4, 2))
+    wp = Tensor(rng.standard_normal((3, 4, 2)))
+    fd_check(lambda: mean_all(mul(place_rows(y, rows, base.copy()), wp)), [y])
+
+    a, b = rng.standard_normal((3, 4, 2)), rng.standard_normal((5, 2))
+    lhs = np.sum(take_rows(Tensor(a), rows).data * b)
+    rhs = np.sum(a * place_rows(Tensor(b), rows, np.zeros((3, 4, 2))).data)
+    assert lhs == pytest.approx(rhs, rel=1e-12, abs=0)
+
+    out = base.copy()
+    placed = place_rows(Tensor(b), rows, out)
+    assert placed.data is out
+    np.testing.assert_array_equal(out[rows], b)
+    untouched = np.ones((3, 4), dtype=bool)
+    untouched[rows] = False
+    np.testing.assert_array_equal(out[untouched], base[untouched])
 
 
 def test_batched_ops_shape_errors():

@@ -6,12 +6,12 @@ print one `sha256  relative/path` line per artifact, sorted by path.
 The pipeline is gen-synth -> preprocess -> train-vq -> tokenize ->
 detokenize (with --meta, and once without it) -> render (one
 reconstruction, to PNG and to PBM) -> train-lm -> generate (greedy,
-sampled, and greedy with the PI fixer) -> evaluate, in-process
-through `stroketok.cli.main`, with the training logs written too. Every
-step is seeded, so two checkouts that produce the same bytes print the
-same manifest: a change meant to keep every artifact's bytes is checked
-with `diff parent.txt change.txt`. Without --workdir the run happens in a
-temporary directory that is removed afterwards.
+sampled, top-k sampled, and greedy with the PI fixer) -> evaluate,
+in-process through `stroketok.cli.main`, with the training logs written
+too. Every step is seeded, so two checkouts that produce the same bytes
+print the same manifest: a change meant to keep every artifact's bytes is
+checked with `diff parent.txt change.txt`. Without --workdir the run
+happens in a temporary directory that is removed afterwards.
 """
 
 from __future__ import annotations
@@ -77,6 +77,7 @@ def run_pipeline(workdir: Path) -> None:
     (w / "gen").mkdir()
     for name, flags in (("greedy", ("--temperature", 0)),
                         ("sampled", ("--temperature", 1, "--seed", 3)),
+                        ("top_k", ("--temperature", 0.7, "--top-k", 5, "--seed", 3)),
                         ("greedy_pi", ("--temperature", 0, "--fixer", "pi"))):
         run("generate", "--lm", w / "lm.ckpt", "--vq", w / "vq.ckpt",
             "--keywords", "circle", *flags, "--out", w / "gen" / f"{name}.json",
