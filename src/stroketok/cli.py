@@ -15,7 +15,6 @@ import json
 import logging
 import statistics
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +51,7 @@ from .svg_io import (
 )
 from .tensor_engine import CHECKPOINT_FORMAT_VERSION
 from .vq_codec import (
+    FIXERS,
     TOKEN_FORMAT_VERSION,
     check_layout,
     detokenize,
@@ -272,22 +272,15 @@ def _evaluate_one(golden_path: Path, cand_path: Path, vq, ns):
     store, codebook, cfg = vq
     golden = simplify(load_graphic(golden_path.read_text()))
     candidate = simplify(_load_graphic_file(cand_path))
-    t0 = time.perf_counter()
     gold_seq = tokenize(golden, store, codebook, cfg)
     cand_seq = tokenize(candidate, store, codebook, cfg)
-    t1 = time.perf_counter()
-    edit = edit_score(golden, candidate)
-    t2 = time.perf_counter()
-    iou = pixel_iou(golden, candidate, res=ns.res, stroke_px=ns.stroke_px)
-    t3 = time.perf_counter()
     cr = compression_ratio(code_length(golden), len(gold_seq.tokens))
     return {
-        "edit": edit,
+        "edit": edit_score(golden, candidate),
         "cr": cr,
         "cr_inverse": 1.0 / cr,
         "recall": recall_score(gold_seq, cand_seq),
-        "pixel_iou": iou,
-        "timings": {"tokenize": t1 - t0, "edit": t2 - t1, "iou": t3 - t2},
+        "pixel_iou": pixel_iou(golden, candidate, res=ns.res, stroke_px=ns.stroke_px),
     }
 
 
@@ -309,12 +302,7 @@ def cmd_evaluate(ns) -> int:
         raise StroketokError("no golden/candidate pairs found")
     vq = load_vq_checkpoint(ns.ckpt)
 
-    rows = []
-    for golden, cand in pairs:
-        rec = _evaluate_one(golden, cand, vq, ns)
-        if not ns.timings:
-            del rec["timings"]
-        rows.append({"name": golden.stem, **rec})
+    rows = [{"name": g.stem, **_evaluate_one(g, cand, vq, ns)} for g, cand in pairs]
     metrics_keys = ("edit", "cr", "cr_inverse", "recall", "pixel_iou")
     aggregates = {
         "mean": {k: statistics.fmean(r[k] for r in rows) for k in metrics_keys},
@@ -397,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--meta", default=None, help="source graphic for viewbox/length")
-    p.add_argument("--fixer", choices=("pc", "pi", "none"), default=None)
+    p.add_argument("--fixer", choices=FIXERS, default=None)
     p.set_defaults(fn=cmd_detokenize)
 
     p = sub.add_parser("train-lm", help="train the keyword-conditioned generator")
@@ -414,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lm", required=True)
     p.add_argument("--vq", required=True)
     p.add_argument("--keywords", required=True)
-    p.add_argument("--fixer", choices=("pc", "pi", "none"), default=None)
+    p.add_argument("--fixer", choices=FIXERS, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--tokens-out", default=None)
     p.add_argument("--seed", type=int, default=None)
@@ -429,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True)
     p.add_argument("--res", type=int, default=128)
     p.add_argument("--stroke-px", dest="stroke_px", type=int, default=2)
-    p.add_argument("--timings", action="store_true")
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("render", help="rasterize a graphic to PNG/PBM")

@@ -2,13 +2,13 @@
 
 Files hold one `key = value` per line ('#' comments allowed). The keys are
 the fields of `CodecConfig` under their own names and the fields of
-`LmConfig` under an `lm_` prefix, with three exceptions: `seed` sets both
-configs, `temperature` and `top_k` keep their bare names, and `mlp_mult` is
-not a key. A value parses by its field's annotation; a `tuple[int, ...]`
-field takes comma-separated ints (`channels = 16,32`). Unknown keys are
-rejected so typos fail loudly. Command-line flags override file values,
-which override the dataclass defaults. Both configs are built, so either
-training subcommand validates the whole file.
+`LmConfig` under an `lm_` prefix, with two exceptions: `seed` sets both
+configs, and `temperature` and `top_k` keep their bare names. A value
+parses by its field's annotation; a `tuple[int, ...]` field takes
+comma-separated ints (`channels = 16,32`). Unknown keys are rejected so
+typos fail loudly. Command-line flags override file values, which override
+the dataclass defaults. Both configs are built, so either training
+subcommand validates the whole file.
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ def _key_targets() -> dict[str, list]:
     for f in fields(CodecConfig):
         targets.setdefault(f.name, []).append((CodecConfig, f))
     for f in fields(LmConfig):
-        if f.name != "mlp_mult":
-            key = f.name if f.name in ("seed", "temperature", "top_k") else f"lm_{f.name}"
-            targets.setdefault(key, []).append((LmConfig, f))
+        key = f.name if f.name in ("seed", "temperature", "top_k") else f"lm_{f.name}"
+        targets.setdefault(key, []).append((LmConfig, f))
     return targets
 
 

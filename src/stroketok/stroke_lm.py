@@ -58,6 +58,8 @@ log = logging.getLogger(__name__)
 
 PROMPT_TEMPLATE = "Generating SVG according to keywords:"
 UNK_WORD = "<unk>"
+# width of each block's MLP, in multiples of embed_dim
+MLP_MULT = 4
 
 
 class EmptyKeywords(StroketokError):
@@ -80,7 +82,6 @@ class LmConfig:
     top_k: int = 0
     steps: int = 3000
     batch_size: int = 8
-    mlp_mult: int = 4
 
     def __post_init__(self):
         if self.max_len < 2:
@@ -100,17 +101,20 @@ class LmConfig:
 
 @dataclass
 class Vocab:
-    stroke_vocab: int  # d * |B|
     keyword_words: list[str]  # index = id; position 0 is UNK
     rvq_depth: int
     codebook_size: int
     stages: int
-    _kw_ids: dict[str, int] = field(default_factory=dict, repr=False)
+    _kw_ids: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.keyword_words or self.keyword_words[0] != UNK_WORD:
             self.keyword_words = [UNK_WORD] + list(self.keyword_words)
         self._kw_ids = {w: i for i, w in enumerate(self.keyword_words)}
+
+    @property
+    def stroke_vocab(self) -> int:  # d * |B|
+        return self.rvq_depth * self.codebook_size
 
     @property
     def pad_id(self) -> int:
@@ -151,7 +155,6 @@ def build_vocab(pairs: list[tuple[list[str], StrokeTokenSeq]]) -> Vocab:
         for kw in keywords:
             words.update(kw.split())
     return Vocab(
-        stroke_vocab=depth * size,
         keyword_words=sorted(words),
         rvq_depth=depth,
         codebook_size=size,
@@ -198,9 +201,9 @@ def init_lm_params(vocab: Vocab, cfg: LmConfig) -> ParameterStore:
             store.add(f"{p}.attn.{name}b", np.zeros(d))
         store.add(f"{p}.ln2.g", np.ones(d))
         store.add(f"{p}.ln2.b", np.zeros(d))
-        store.add(f"{p}.mlp.w1", lin((d, cfg.mlp_mult * d)))
-        store.add(f"{p}.mlp.b1", np.zeros(cfg.mlp_mult * d))
-        store.add(f"{p}.mlp.w2", lin((cfg.mlp_mult * d, d)))
+        store.add(f"{p}.mlp.w1", lin((d, MLP_MULT * d)))
+        store.add(f"{p}.mlp.b1", np.zeros(MLP_MULT * d))
+        store.add(f"{p}.mlp.w2", lin((MLP_MULT * d, d)))
         store.add(f"{p}.mlp.b2", np.zeros(d))
 
     store.add("ln_f.g", np.ones(d))
@@ -470,32 +473,15 @@ def generate(
 def save_lm_checkpoint(
     path: str, store: ParameterStore, vocab: Vocab, cfg: LmConfig
 ) -> None:
-    named = {
-        **store.state_dict(),
-        **te.config_tensors("config", cfg),
-        **te.config_tensors("vocab", vocab),
-    }
-    blob = "\n".join(vocab.keyword_words).encode("utf-8")
-    named["vocab.words_utf8"] = np.frombuffer(blob, dtype=np.uint8).astype(np.float64)
-    te.save_named_tensors(path, named)
+    records = {"config": te.config_record(cfg), "vocab": te.config_record(vocab)}
+    te.save_named_tensors(path, {**store.state_dict(), **records})
 
 
 def load_lm_checkpoint(path: str) -> tuple[ParameterStore, Vocab, LmConfig]:
     named = te.load_named_tensors(path)
-    cfg = LmConfig(**te.config_values(LmConfig, named, "config", path))
-    words = (
-        te.checkpoint_entry(named, "vocab.words_utf8", path, ndim=1)
-        .astype(np.uint8)
-        .tobytes()
-        .decode("utf-8")
-        .split("\n")
-    )
-    vocab = Vocab(keyword_words=words, **te.config_values(Vocab, named, "vocab", path))
+    cfg = te.read_record(LmConfig, named, "config", path)
+    vocab = te.read_record(Vocab, named, "vocab", path)
     store = init_lm_params(vocab, cfg)
-    params = {
-        k: v
-        for k, v in named.items()
-        if not k.startswith("config.") and not k.startswith("vocab.")
-    }
+    params = {k: v for k, v in named.items() if k not in ("config", "vocab")}
     store.load_state_dict(params, path)
     return store, vocab, cfg

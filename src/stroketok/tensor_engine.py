@@ -34,12 +34,24 @@ repeat, `embedding`'s backward, uses np.add.at, which adds in index order.
 Every other backward writes each gradient entry from one place, by slicing
 or by assignment (`_col2im` adds one strided slice per tap; `attention`
 adds its key and value gradients tile by tile, in tile order).
+
+Checkpoints (`checkpoint STKT v2`) hold named, typed entries, integers
+little-endian: magic b"STK2" (v1 began b"STKT"), a u32 entry count, then
+per entry in sorted name order
+    u16 name length, UTF-8 name, 2-byte dtype tag (f8 float64, i8 int64,
+    u8 byte), u8 ndim, ndim u32 dims, the data in C order;
+last a u32 trailer, zlib.crc32 of every byte before it. Parameters are f8,
+codebook usage counts i8, and a config one u8 entry: the JSON object of
+its dataclass's init fields (`config_record`, read back by `read_record`).
 """
 
 from __future__ import annotations
 
+import json
 import math
+import os
 import struct
+import zlib
 from contextlib import contextmanager
 from dataclasses import fields
 
@@ -47,8 +59,11 @@ import numpy as np
 
 from .errors import StroketokError
 
-CHECKPOINT_MAGIC = b"STKT"
-CHECKPOINT_FORMAT_VERSION = "checkpoint STKT v1"
+CHECKPOINT_MAGIC = b"STK2"
+CHECKPOINT_FORMAT_VERSION = "checkpoint STKT v2"
+# dtype tag of an entry -> its element type
+_DTYPES = {b"f8": np.dtype("<f8"), b"i8": np.dtype("<i8"), b"u8": np.dtype("u1")}
+_TAGS = {dtype: tag for tag, dtype in _DTYPES.items()}
 
 
 # score of a masked attention key: far below any real score, so exp() of
@@ -71,8 +86,9 @@ class NoGradient(StroketokError):
 
 
 class CorruptCheckpoint(StroketokError):
-    """A file that is not a well-formed STKT container: wrong magic, cut
-    short, undecodable names, or bytes after the last entry."""
+    """A file that is not a well-formed STKT v2 container (wrong magic, a
+    CRC-32 mismatch, entries that overrun or stop short of the trailer), or
+    whose entries do not make up the checkpoint read from it."""
 
 
 _grad_enabled = True
@@ -654,16 +670,18 @@ class ParameterStore:
 
     def load_state_dict(self, state: dict[str, np.ndarray], path: str) -> None:
         """Set every parameter from `state`, the tensors of checkpoint
-        `path`. Names and shapes must match the store exactly: a missing
-        parameter, an unknown tensor or a wrong shape raises
-        CorruptCheckpoint naming the path and the key."""
+        `path`. Names must match the store exactly and every entry must be
+        f8 of its parameter's shape: a missing parameter, an unknown tensor,
+        a wrong dtype or shape raises CorruptCheckpoint naming the path and
+        the key."""
         for name, t in self._params.items():
             if name not in state:
                 raise CorruptCheckpoint(f"{path}: checkpoint has no {name!r} entry")
-            if state[name].shape != t.data.shape:
+            arr = state[name]
+            if arr.dtype != np.float64 or arr.shape != t.data.shape:
                 raise CorruptCheckpoint(
-                    f"{path}: checkpoint entry {name!r} has shape "
-                    f"{state[name].shape}, expected {t.data.shape}"
+                    f"{path}: checkpoint entry {name!r} is {_TAGS[arr.dtype].decode()} "
+                    f"of shape {arr.shape}, expected f8 of shape {t.data.shape}"
                 )
         for name in state:
             if name not in self._params:
@@ -671,7 +689,7 @@ class ParameterStore:
                     f"{path}: checkpoint has an unknown entry {name!r}"
                 )
         for name, t in self._params.items():
-            t.data = np.array(state[name], dtype=np.float64)
+            t.data = state[name].copy()
 
 
 # Adam's moment decays and denominator offset (Kingma & Ba's defaults)
@@ -740,39 +758,54 @@ def minibatches(
 
 
 def save_named_tensors(path: str, named: dict[str, np.ndarray]) -> None:
-    """Little-endian named-tensor container ("STKT"). Entries are written in
-    sorted name order so files are byte-stable."""
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", len(named)))
-        for name in sorted(named):
-            # np.asarray (not ascontiguousarray) keeps 0-d shapes intact;
-            # tobytes() copies to C order regardless.
-            arr = np.asarray(named[name], dtype="<f8")
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<H", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<B", arr.ndim))
-            for dim in arr.shape:
-                f.write(struct.pack("<I", dim))
-            f.write(arr.tobytes())
+    """Write `named` as a checkpoint (the layout is in the module docstring)
+    through a temporary file beside `path` that replaces it only once
+    complete, so a failed write leaves the previous file or none."""
+    parts = [CHECKPOINT_MAGIC, struct.pack("<I", len(named))]
+    for name in sorted(named):
+        # np.asarray (not ascontiguousarray) keeps 0-d shapes intact;
+        # tobytes() copies to C order regardless.
+        arr = np.asarray(named[name])
+        encoded = name.encode("utf-8")
+        parts += [struct.pack("<H", len(encoded)), encoded, _TAGS[arr.dtype],
+                  struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape), arr.tobytes()]
+    blob = b"".join(parts)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(blob)
+            f.write(struct.pack("<I", zlib.crc32(blob)))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_named_tensors(path: str) -> dict[str, np.ndarray]:
-    """Read a container written by `save_named_tensors`; every read is
-    bounds-checked and the entries must end exactly at the end of the file."""
+    """Read a container written by `save_named_tensors`. The CRC-32 must
+    match, every read is bounds-checked and the entries must end exactly at
+    the trailer."""
     with open(path, "rb") as f:
         blob = f.read()
+    if blob[:4] == b"STKT":
+        raise StroketokError(
+            f"{path}: checkpoint STKT v1 is a retired format (retrain to write v2)"
+        )
     if blob[:4] != CHECKPOINT_MAGIC:
         raise CorruptCheckpoint(f"{path}: not a checkpoint file (bad magic)")
+    end = len(blob) - 4
+    if end < 8 or zlib.crc32(blob[:end]) != struct.unpack("<I", blob[end:])[0]:
+        raise CorruptCheckpoint(
+            f"{path}: checkpoint is truncated or corrupt (CRC-32 mismatch)"
+        )
     pos = 4
 
     def take(n: int) -> bytes:
         nonlocal pos
-        if n > len(blob) - pos:
+        if n > end - pos:
             raise CorruptCheckpoint(
                 f"{path}: checkpoint is truncated or corrupt "
-                f"(needs {n} bytes at offset {pos}, file has {len(blob)})"
+                f"(needs {n} bytes at offset {pos}, entries end at {end})"
             )
         pos += n
         return blob[pos - n : pos]
@@ -788,58 +821,72 @@ def load_named_tensors(path: str) -> dict[str, np.ndarray]:
                 f"{path}: checkpoint is corrupt (tensor name at offset "
                 f"{pos - nlen} is not UTF-8)"
             ) from e
+        tag = take(2)
+        if tag not in _DTYPES:
+            raise CorruptCheckpoint(
+                f"{path}: checkpoint entry {name!r} has an unknown dtype tag {tag!r}"
+            )
         ndim = take(1)[0]
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
         # math.prod on Python ints: a corrupt shape cannot overflow the size
-        arr = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
-        out[name] = arr.reshape(shape).astype(np.float64)
-    if pos != len(blob):
+        data = take(_DTYPES[tag].itemsize * math.prod(shape))
+        out[name] = np.frombuffer(data, dtype=_DTYPES[tag]).reshape(shape)
+    if pos != end:
         raise CorruptCheckpoint(
-            f"{path}: checkpoint is corrupt ({len(blob) - pos} bytes after "
+            f"{path}: checkpoint is corrupt ({end - pos} bytes after "
             f"its {count} entries)"
         )
     return out
 
 
-def checkpoint_entry(
-    named: dict[str, np.ndarray], key: str, path: str, ndim: int = 0
-) -> np.ndarray:
-    """Entry `key` of a loaded checkpoint, checked to be finite with `ndim`
-    dimensions (a scalar by default); CorruptCheckpoint names the path and
-    the key otherwise."""
+def config_record(obj) -> np.ndarray:
+    """The init fields of the dataclass `obj` as one `u8` entry: a JSON
+    object with sorted keys."""
+    values = {f.name: getattr(obj, f.name) for f in fields(obj) if f.init}
+    return np.frombuffer(json.dumps(values, sort_keys=True).encode("utf-8"), np.uint8)
+
+
+# the JSON values a config field takes, keyed by its annotation (every
+# config module postpones annotations, so they are strings); bools are not
+# ints here, and an int is a float as in Python
+_RECORD_TYPES = {
+    "int": lambda v: type(v) is int,
+    "float": lambda v: type(v) in (int, float),
+    "float | None": lambda v: v is None or type(v) in (int, float),
+    "str": lambda v: type(v) is str,
+    "tuple[int, ...]": lambda v: type(v) is list and all(type(c) is int for c in v),
+    "list[str]": lambda v: type(v) is list and all(type(w) is str for w in v),
+}
+
+
+def read_record(cls, named: dict[str, np.ndarray], key: str, path: str):
+    """The dataclass `cls` from its `config_record` entry `key`. A missing
+    or non-JSON record, a missing, unknown or wrongly typed field and a
+    value `cls` rejects raise CorruptCheckpoint naming path, record, field."""
     arr = named.get(key)
     if arr is None:
         raise CorruptCheckpoint(f"{path}: checkpoint has no {key!r} entry")
-    if arr.ndim != ndim or not np.all(np.isfinite(arr)):
-        kind = "scalar" if ndim == 0 else f"{ndim}-d array"
-        raise CorruptCheckpoint(
-            f"{path}: checkpoint entry {key!r} is not a finite {kind} "
-            f"(shape {arr.shape})"
-        )
-    return arr
-
-
-# casts of the dataclass fields a checkpoint stores, keyed by annotation
-# (every config module postpones annotations, so they are strings)
-_SCALAR_CASTS = {"int": int, "float": float}
-
-
-def config_tensors(prefix: str, obj) -> dict[str, np.ndarray]:
-    """Entry `prefix.name` (a float64 scalar) for every int or float field
-    of the dataclass `obj`, in field order."""
-    return {
-        f"{prefix}.{f.name}": np.array(float(getattr(obj, f.name)))
-        for f in fields(obj)
-        if f.type in _SCALAR_CASTS
-    }
-
-
-def config_values(cls, named: dict[str, np.ndarray], prefix: str, path: str) -> dict:
-    """The int and float fields of the dataclass `cls` read back from the
-    entries `config_tensors` wrote, as keyword arguments; a missing or bad
-    entry raises CorruptCheckpoint (`checkpoint_entry`)."""
-    return {
-        f.name: _SCALAR_CASTS[f.type](float(checkpoint_entry(named, f"{prefix}.{f.name}", path)))
-        for f in fields(cls)
-        if f.type in _SCALAR_CASTS
-    }
+    where = f"{path}: checkpoint record {key!r}"
+    if arr.dtype != np.uint8 or arr.ndim != 1:
+        raise CorruptCheckpoint(f"{where} is {arr.ndim}-d {arr.dtype}, not u8 bytes")
+    try:
+        values = json.loads(arr.tobytes())
+    except ValueError as e:
+        raise CorruptCheckpoint(f"{where} is not JSON ({e})") from None
+    if type(values) is not dict:
+        raise CorruptCheckpoint(f"{where} is not a JSON object")
+    expected = {f.name: f.type for f in fields(cls) if f.init}
+    for name in sorted(expected.keys() | values.keys()):
+        if name not in values:
+            raise CorruptCheckpoint(f"{where} has no field {name!r}")
+        if name not in expected:
+            raise CorruptCheckpoint(f"{where} has an unknown field {name!r}")
+        if not _RECORD_TYPES[expected[name]](values[name]):
+            shown = json.dumps(values[name])
+            raise CorruptCheckpoint(
+                f"{where} field {name!r} must be {expected[name]}, not {shown[:40]}"
+            )
+    try:
+        return cls(**values)
+    except ValueError as e:
+        raise CorruptCheckpoint(f"{where}: {e}") from None

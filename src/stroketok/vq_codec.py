@@ -64,11 +64,8 @@ log = logging.getLogger(__name__)
 TOKEN_FORMAT_VERSION = "tokens v1"
 DEFAULT_VIEWBOX = (0.0, 0.0, 256.0, 256.0)
 
-FIXER_NONE = "none"
-FIXER_PC = "pc"
-FIXER_PI = "pi"
-_FIXER_CODES = {FIXER_NONE: 0, FIXER_PC: 1, FIXER_PI: 2}
-_FIXER_NAMES = {v: k for k, v in _FIXER_CODES.items()}
+# decoding's fixers: path clipping, path interpolation, none (the default first)
+FIXERS = ("pc", "pi", "none")
 
 
 class EmptyCodebook(StroketokError):
@@ -105,7 +102,7 @@ class CodecConfig:
     steps: int = 2000
     kernel_size: int = 4
     target_recon: float | None = None  # <= 0 (or None) disables early stopping
-    fixer: str = FIXER_PC
+    fixer: str = FIXERS[0]
 
     def __post_init__(self):
         if self.target_recon is not None and not self.target_recon > 0:
@@ -122,13 +119,15 @@ class CodecConfig:
             raise ValueError("lr must be finite and > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.fixer not in _FIXER_CODES:
-            raise ValueError(f"fixer must be one of {sorted(_FIXER_CODES)}")
+        if self.fixer not in FIXERS:
+            raise ValueError(f"fixer must be one of {sorted(FIXERS)}")
         if self.kernel_size < 2 or self.kernel_size % 2:
             raise ValueError("kernel_size must be even (exact stride-2 doubling)")
         # one width per compression stage: the last width repeats, and an
         # empty tuple means 64
         ch = tuple(self.channels) or (64,)
+        if min(ch) < 1:
+            raise ValueError("channels must be >= 1")
         stages = self.compression_stages
         self.channels = (ch + ch[-1:] * stages)[:stages]
 
@@ -821,9 +820,9 @@ def detokenize(
     g = from_matrix(m, viewbox, keywords=tuple(seq.meta.get("keywords", ())))
     strategy = cfg.fixer if fixer is None else fixer
     report = None
-    if strategy == FIXER_PC:
+    if strategy == "pc":
         g, report = fix_pc(g)
-    elif strategy == FIXER_PI:
+    elif strategy == "pi":
         g, report = fix_pi(g)
     return g, report
 
@@ -902,47 +901,27 @@ def load_tokens(path: str) -> StrokeTokenSeq:
 def save_vq_checkpoint(
     path: str, store: ParameterStore, codebook: Codebook, cfg: CodecConfig
 ) -> None:
-    named = {**store.state_dict(), **te.config_tensors("config", cfg)}
-    named["config.channels"] = np.array(cfg.channels, dtype=np.float64)
-    named["config.fixer"] = np.array(float(_FIXER_CODES[cfg.fixer]))
-    for level, usage in enumerate(codebook.usage):
-        named[f"codebook.usage{level}"] = usage.astype(np.float64)
+    named = {**store.state_dict(), "config": te.config_record(cfg)}
+    named["codebook.usage"] = np.array(codebook.usage)
     te.save_named_tensors(path, named)
 
 
 def load_vq_checkpoint(path: str) -> tuple[ParameterStore, Codebook, CodecConfig]:
-    """Inverse of `save_vq_checkpoint`. The config comes back whole except
-    `target_recon`, a training-only stop rule that is not stored: the loaded
-    config has None there. Each level's usage entry must hold codebook_size
-    non-negative integer counts."""
+    """Inverse of `save_vq_checkpoint`. The usage entry must hold i8 counts,
+    non-negative, codebook_size of them for each level."""
     named = te.load_named_tensors(path)
-    values = te.config_values(CodecConfig, named, "config", path)
-    channels = te.checkpoint_entry(named, "config.channels", path, ndim=1)
-    code = int(float(te.checkpoint_entry(named, "config.fixer", path)))
-    if code not in _FIXER_NAMES:
-        raise te.CorruptCheckpoint(f"{path}: unknown fixer code {code}")
-    cfg = CodecConfig(
-        **values, channels=tuple(int(c) for c in channels), fixer=_FIXER_NAMES[code]
-    )
-    usage_keys = [f"codebook.usage{level}" for level in range(cfg.rvq_depth)]
-    usage = []
-    for key in usage_keys:
-        counts = te.checkpoint_entry(named, key, path, ndim=1)
-        if counts.shape != (cfg.codebook_size,) or not np.all(
-            (counts >= 0) & (counts < 2.0**63) & (counts == np.floor(counts))
-        ):
-            raise te.CorruptCheckpoint(
-                f"{path}: checkpoint entry {key!r} must hold {cfg.codebook_size} "
-                f"non-negative integer counts (shape {counts.shape})"
-            )
-        usage.append(counts.astype(np.int64))
+    cfg = te.read_record(CodecConfig, named, "config", path)
+    usage = named.pop("codebook.usage", None)
+    if usage is None:
+        raise te.CorruptCheckpoint(f"{path}: checkpoint has no 'codebook.usage' entry")
+    shape = (cfg.rvq_depth, cfg.codebook_size)
+    if usage.dtype != np.int64 or usage.shape != shape or np.any(usage < 0):
+        raise te.CorruptCheckpoint(
+            f"{path}: checkpoint entry 'codebook.usage' must hold {shape} non-negative "
+            f"i8 counts (found {usage.dtype}, shape {usage.shape})"
+        )
     store = init_codec_params(cfg, np.random.default_rng(cfg.seed))
-    params = {
-        k: v
-        for k, v in named.items()
-        if not k.startswith("config.") and k not in usage_keys
-    }
-    store.load_state_dict(params, path)
+    store.load_state_dict({k: v for k, v in named.items() if k != "config"}, path)
     codebook = make_codebook(cfg, store)
-    codebook.usage = usage
+    codebook.usage = list(usage.copy())
     return store, codebook, cfg

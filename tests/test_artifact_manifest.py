@@ -1,6 +1,9 @@
 import importlib.util
 from pathlib import Path
 
+from stroketok.stroke_lm import load_lm_checkpoint, save_lm_checkpoint
+from stroketok.vq_codec import load_vq_checkpoint, save_vq_checkpoint
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "artifact_manifest.py"
 
 
@@ -32,3 +35,16 @@ def test_main_prints_the_manifest(tmp_path, capsys):
     assert tool.main(["--workdir", str(tmp_path / "run")]) == 0
     printed = capsys.readouterr().out.splitlines()
     assert printed == tool.manifest(tmp_path / "run")
+
+
+def test_checkpoints_resave_byte_identical(tmp_path):
+    """Each of the pipeline's checkpoints, loaded and saved again by the
+    program's own loader and saver, comes back byte for byte: the config
+    records and typed entries hold everything the file does."""
+    tool = load_tool()
+    tool.run_pipeline(tmp_path / "run")
+    for name, load, save in (("vq.ckpt", load_vq_checkpoint, save_vq_checkpoint),
+                             ("lm.ckpt", load_lm_checkpoint, save_lm_checkpoint)):
+        src, dst = tmp_path / "run" / name, tmp_path / name
+        save(str(dst), *load(str(src)))
+        assert dst.read_bytes() == src.read_bytes(), name

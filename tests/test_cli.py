@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -8,9 +9,17 @@ import pytest
 
 import numpy as np
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from stroketok import cli
 from stroketok.stroke_lm import generate, load_lm_checkpoint
-from stroketok.tensor_engine import load_named_tensors, save_named_tensors
+from stroketok.tensor_engine import (
+    CorruptCheckpoint,
+    load_named_tensors,
+    save_named_tensors,
+)
+from stroketok.vq_codec import load_vq_checkpoint
 
 TINY_CONFIG = """\
 steps = 3
@@ -173,6 +182,8 @@ def assert_one_error_line(capsys):
         ("lm_lr = nan", "lm_lr must be finite and > 0"),
         ("lr = -1", "lr must be finite and > 0"),
         ("lm_lr = inf", "lm_lr must be finite and > 0"),
+        ("channels = 0", "channels must be >= 1"),
+        ("channels = 16,-3", "channels must be >= 1"),
     ],
 )
 def test_bad_training_values_exit_1_with_one_line(pipeline, capsys, tmp_path, line,
@@ -288,6 +299,18 @@ def rewrite_checkpoint(src, dst, drop=(), replace=None):
     named.update(replace or {})
     save_named_tensors(str(dst), named)
     return dst
+
+
+DROP = object()
+
+
+def edited_record(src, key, **changes):
+    """Record `key` of checkpoint `src` as a u8 entry, with `changes` made
+    to its fields (DROP removes one)."""
+    values = json.loads(load_named_tensors(str(src))[key].tobytes())
+    values.update(changes)
+    values = {k: v for k, v in values.items() if v is not DROP}
+    return np.frombuffer(json.dumps(values).encode(), dtype=np.uint8)
 
 
 @pytest.mark.parametrize(
@@ -410,19 +433,42 @@ def test_checkpoint_missing_or_bad_entry_exits_1_with_one_line(pipeline, capsys)
     d = pipeline
     only_w = d / "only_w.ckpt"
     save_named_tensors(str(only_w), {"w": np.ones((2, 3))})
+    v1 = d / "v1.ckpt"
+    v1.write_bytes(b"STKT" + (0).to_bytes(4, "little"))
+    flipped = d / "flipped.ckpt"
+    blob = bytearray((d / "vq.ckpt").read_bytes())
+    blob[len(blob) // 2] ^= 0x20
+    flipped.write_bytes(bytes(blob))
     tok = sorted((d / "tok").glob("*.tok"))[0]
+
+    def vq_config(name, **changes):
+        replace = {"config": edited_record(d / "vq.ckpt", "config", **changes)}
+        return rewrite_checkpoint(d / "vq.ckpt", d / name, replace=replace)
+
+    record = "checkpoint record 'config'"
     vq_cases = [
-        (only_w, "no 'config.compression_stages' entry"),
-        (rewrite_checkpoint(d / "vq.ckpt", d / "no_channels.ckpt",
-                            drop=["config.channels"]), "no 'config.channels' entry"),
-        (rewrite_checkpoint(d / "vq.ckpt", d / "vec_depth.ckpt",
-                            replace={"config.rvq_depth": np.array([2.0, 2.0])}),
-         "entry 'config.rvq_depth' is not a finite scalar"),
-        (rewrite_checkpoint(d / "vq.ckpt", d / "inf_stages.ckpt",
-                            replace={"config.compression_stages": np.array(np.inf)}),
-         "entry 'config.compression_stages' is not a finite scalar"),
-        (rewrite_checkpoint(d / "vq.ckpt", d / "bad_fixer.ckpt",
-                            replace={"config.fixer": np.array(7.0)}), "unknown fixer code 7"),
+        (only_w, "checkpoint has no 'config' entry"),
+        (v1, "checkpoint STKT v1 is a retired format"),
+        (flipped, "checkpoint is truncated or corrupt"),
+        (vq_config("no_depth.ckpt", rvq_depth=DROP), f"{record} has no field 'rvq_depth'"),
+        (vq_config("retired_field.ckpt", conventional_loss_names=True),
+         f"{record} has an unknown field 'conventional_loss_names'"),
+        (vq_config("float_depth.ckpt", rvq_depth=2.0),
+         f"{record} field 'rvq_depth' must be int, not 2.0"),
+        (vq_config("bool_stages.ckpt", compression_stages=True),
+         f"{record} field 'compression_stages' must be int, not true"),
+        (vq_config("str_channels.ckpt", channels=[16, "16"]),
+         f"{record} field 'channels' must be tuple[int, ...], not [16, \"16\"]"),
+        (vq_config("str_lr.ckpt", lr="0.001"), f"{record} field 'lr' must be float, not"),
+        (vq_config("zero_depth.ckpt", rvq_depth=0), f"{record}: rvq_depth must be >= 1"),
+        (vq_config("zero_width.ckpt", channels=[0]), f"{record}: channels must be >= 1"),
+        (vq_config("bad_fixer.ckpt", fixer="bogus"), f"{record}: fixer must be one of"),
+        (rewrite_checkpoint(d / "vq.ckpt", d / "not_json.ckpt",
+                            replace={"config": np.frombuffer(b"{", dtype=np.uint8)}),
+         f"{record} is not JSON"),
+        (rewrite_checkpoint(d / "vq.ckpt", d / "f8_config.ckpt",
+                            replace={"config": np.ones(3)}),
+         f"{record} is 1-d float64, not u8 bytes"),
     ]
     capsys.readouterr()
     for bad, message in vq_cases:
@@ -432,21 +478,47 @@ def test_checkpoint_missing_or_bad_entry_exits_1_with_one_line(pipeline, capsys)
         assert cli.main(["generate", "--lm", str(d / "lm.ckpt"), "--vq", str(bad),
                          "--keywords", "circle", "--out", str(d / "bad.json")]) == 1
         assert_error_names(capsys, bad, message)
+
+    def lm_record(name, key, **changes):
+        replace = {key: edited_record(d / "lm.ckpt", key, **changes)}
+        return rewrite_checkpoint(d / "lm.ckpt", d / name, replace=replace)
+
     lm_cases = [
-        (only_w, "no 'config.embed_dim' entry"),
-        (rewrite_checkpoint(d / "lm.ckpt", d / "no_vocab.ckpt",
-                            drop=["vocab.stroke_vocab"]), "no 'vocab.stroke_vocab' entry"),
-        (rewrite_checkpoint(d / "lm.ckpt", d / "no_words.ckpt",
-                            drop=["vocab.words_utf8"]), "no 'vocab.words_utf8' entry"),
-        (rewrite_checkpoint(d / "lm.ckpt", d / "vec_heads.ckpt",
-                            replace={"config.heads": np.ones(2)}),
-         "entry 'config.heads' is not a finite scalar"),
+        (only_w, "checkpoint has no 'config' entry"),
+        (v1, "checkpoint STKT v1 is a retired format"),
+        (rewrite_checkpoint(d / "lm.ckpt", d / "no_vocab.ckpt", drop=["vocab"]),
+         "checkpoint has no 'vocab' entry"),
+        (lm_record("no_words.ckpt", "vocab", keyword_words=DROP),
+         "checkpoint record 'vocab' has no field 'keyword_words'"),
+        (lm_record("stored_size.ckpt", "vocab", stroke_vocab=32),
+         "checkpoint record 'vocab' has an unknown field 'stroke_vocab'"),
+        (lm_record("int_words.ckpt", "vocab", keyword_words=["<unk>", 7]),
+         "checkpoint record 'vocab' field 'keyword_words' must be list[str]"),
+        (lm_record("float_heads.ckpt", "config", heads=2.5),
+         "checkpoint record 'config' field 'heads' must be int, not 2.5"),
+        (lm_record("uneven_heads.ckpt", "config", heads=3),
+         "checkpoint record 'config': embed_dim must divide evenly across heads"),
     ]
     for bad, message in lm_cases:
         assert cli.main(["generate", "--lm", str(bad), "--vq", str(d / "vq.ckpt"),
                          "--keywords", "circle", "--out", str(d / "bad.json")]) == 1
         assert_error_names(capsys, bad, message)
     assert not (d / "bad.json").exists()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_any_flipped_bit_raises_corrupt_checkpoint(pipeline, data):
+    """The CRC-32 trailer catches every single-bit error, wherever it falls:
+    magic, counts, names, shapes, records, parameters or the trailer."""
+    for name, load in (("vq.ckpt", load_vq_checkpoint), ("lm.ckpt", load_lm_checkpoint)):
+        blob = bytearray((pipeline / name).read_bytes())
+        bit = data.draw(st.integers(0, 8 * len(blob) - 1), label=name)
+        blob[bit // 8] ^= 1 << (bit % 8)
+        bad = pipeline / f"flipped_bit_{name}"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(CorruptCheckpoint):
+            load(str(bad))
 
 
 def test_checkpoint_parameters_must_match_the_model(pipeline, capsys):
@@ -459,7 +531,10 @@ def test_checkpoint_parameters_must_match_the_model(pipeline, capsys):
          "no 'dec0.up.b' entry"),
         (rewrite_checkpoint(d / "vq.ckpt", d / "vq_shape.ckpt",
                             replace={"enc0.down.b": np.ones(3)}),
-         "entry 'enc0.down.b' has shape (3,)"),
+         "entry 'enc0.down.b' is f8 of shape (3,), expected f8 of shape (16,)"),
+        (rewrite_checkpoint(d / "vq.ckpt", d / "vq_i8.ckpt",
+                            replace={"enc0.down.b": np.ones(16, dtype=np.int64)}),
+         "entry 'enc0.down.b' is i8 of shape (16,), expected f8 of shape (16,)"),
     ]
     capsys.readouterr()
     for bad, message in vq_cases:
@@ -469,30 +544,36 @@ def test_checkpoint_parameters_must_match_the_model(pipeline, capsys):
         assert cli.main(["generate", "--lm", str(d / "lm.ckpt"), "--vq", str(bad),
                          "--keywords", "circle", "--out", str(d / "bad.json")]) == 1
         assert_error_names(capsys, bad, message)
-    # usage counts: codebook_size (16) of them per level, for levels 0 and 1
-    usage = np.arange(16.0)
+    # usage counts: codebook_size (16) of them for each of levels 0 and 1
+    usage = np.arange(32).reshape(2, 16)
+    must_hold = "entry 'codebook.usage' must hold (2, 16) non-negative i8 counts"
     usage_cases = [
         ({"codebook.usage7": usage}, "unknown entry 'codebook.usage7'"),
-        ({"codebook.usage0": np.where(usage == 3, np.nan, usage)},
-         "entry 'codebook.usage0' is not a finite 1-d array"),
-        ({"codebook.usage1": usage[:5]}, "entry 'codebook.usage1' must hold 16 non-negative"),
-        ({"codebook.usage1": usage - 1}, "entry 'codebook.usage1' must hold 16 non-negative"),
-        ({"codebook.usage0": usage + 0.5}, "entry 'codebook.usage0' must hold 16 non-negative"),
+        ({"codebook.usage": np.where(usage == 3, np.nan, usage)},
+         f"{must_hold} (found float64, shape (2, 16))"),
+        ({"codebook.usage": usage[:, :5]}, f"{must_hold} (found int64, shape (2, 5))"),
+        ({"codebook.usage": usage[:1]}, f"{must_hold} (found int64, shape (1, 16))"),
+        ({"codebook.usage": usage - 1}, f"{must_hold} (found int64, shape (2, 16))"),
+        ({"codebook.usage": usage + 0.5}, f"{must_hold} (found float64"),
+        ({"codebook.usage": usage.astype(np.uint8)}, f"{must_hold} (found uint8"),
     ]
     for i, (replace, message) in enumerate(usage_cases):
         bad = rewrite_checkpoint(d / "vq.ckpt", d / f"vq_usage{i}.ckpt", replace=replace)
         assert cli.main(["detokenize", "--ckpt", str(bad), "--in", str(tok),
                          "--out", str(d / "bad.json")]) == 1
         assert_error_names(capsys, bad, message)
-    bad = rewrite_checkpoint(d / "vq.ckpt", d / "vq_no_usage.ckpt", drop=["codebook.usage1"])
+    bad = rewrite_checkpoint(d / "vq.ckpt", d / "vq_no_usage.ckpt", drop=["codebook.usage"])
     assert cli.main(["detokenize", "--ckpt", str(bad), "--in", str(tok),
                      "--out", str(d / "bad.json")]) == 1
-    assert_error_names(capsys, bad, "no 'codebook.usage1' entry")
+    assert_error_names(capsys, bad, "no 'codebook.usage' entry")
     lm_cases = [
         (rewrite_checkpoint(d / "lm.ckpt", d / "lm_extra.ckpt", replace={"w": np.ones(3)}),
          "unknown entry 'w'"),
         (rewrite_checkpoint(d / "lm.ckpt", d / "lm_missing.ckpt", drop=["head.b"]),
          "no 'head.b' entry"),
+        (rewrite_checkpoint(d / "lm.ckpt", d / "lm_u8.ckpt",
+                            replace={"pos_embed": np.ones((40, 16), dtype=np.uint8)}),
+         "entry 'pos_embed' is u8 of shape (40, 16), expected f8 of shape (40, 16)"),
     ]
     for bad, message in lm_cases:
         assert cli.main(["generate", "--lm", str(bad), "--vq", str(d / "vq.ckpt"),

@@ -1,3 +1,9 @@
+import errno
+import stat
+import struct
+import zlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -502,22 +508,32 @@ def test_no_grad_context():
     assert out._parents == ()
 
 
+def reseal(blob) -> bytes:
+    """`blob` with its CRC-32 trailer recomputed over everything before it."""
+    body = bytes(blob[:-4])
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 def test_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     named = {
         "a.weight": rng.standard_normal((3, 4)),
         "b.bias": rng.standard_normal(7),
+        "counts": np.arange(5, dtype=np.int64) - 2,
+        "record": np.frombuffer(b'{"k": 1}', dtype=np.uint8),
         "scalar": np.array(3.5),
     }
     p = tmp_path / "ckpt.stkt"
     save_named_tensors(str(p), named)
-    assert p.read_bytes()[:4] == b"STKT"
+    blob = p.read_bytes()
+    assert blob[:4] == b"STK2"
+    assert struct.unpack("<I", blob[-4:])[0] == zlib.crc32(blob[:-4])
     loaded = load_named_tensors(str(p))
     assert set(loaded) == set(named)
     for k in named:
+        assert loaded[k].dtype == named[k].dtype
         assert np.array_equal(loaded[k], named[k])
     # byte-stable on rewrite
-    blob = p.read_bytes()
     save_named_tensors(str(p), loaded)
     assert p.read_bytes() == blob
 
@@ -527,12 +543,17 @@ def test_checkpoint_cut_short_or_padded_raises(tmp_path):
     save_named_tensors(str(p), {"w": np.arange(6.0).reshape(2, 3), "s": np.array(1.5)})
     blob = p.read_bytes()
     bad = tmp_path / "bad.stkt"
-    # every cut point: inside the magic, the count, a name, a shape or a payload
+    # every cut point: inside the magic, the count, a name, a shape, a
+    # payload or the trailer
     for n in range(len(blob)):
         bad.write_bytes(blob[:n])
         with pytest.raises(CorruptCheckpoint, match="bad.stkt"):
             load_named_tensors(str(bad))
     bad.write_bytes(blob + b"\0")
+    with pytest.raises(CorruptCheckpoint, match="truncated or corrupt"):
+        load_named_tensors(str(bad))
+    # a byte after the last entry, under a CRC that matches
+    bad.write_bytes(reseal(blob[:-4] + b"\0" + blob[-4:]))
     with pytest.raises(CorruptCheckpoint, match="1 bytes after its 2 entries"):
         load_named_tensors(str(bad))
 
@@ -541,18 +562,72 @@ def test_checkpoint_corrupt_name_or_shape_raises(tmp_path):
     p = tmp_path / "ckpt.stkt"
     save_named_tensors(str(p), {"w": np.ones((2, 2))})
     blob = bytearray(p.read_bytes())
-    # layout: magic(4) count(4) name length(2) name(1) ndim(1) dims(4 each)
-    name_at, dim_at = 10, 12
+    # layout: magic(4) count(4) name length(2) name(1) tag(2) ndim(1) dims(4 each)
+    name_at, tag_at, dim_at = 10, 11, 14
     undecodable = blob.copy()
     undecodable[name_at] = 0xFF
     p.write_bytes(bytes(undecodable))
+    with pytest.raises(CorruptCheckpoint, match="CRC-32 mismatch"):
+        load_named_tensors(str(p))
+    p.write_bytes(reseal(undecodable))
     with pytest.raises(CorruptCheckpoint, match="not UTF-8"):
+        load_named_tensors(str(p))
+    unknown = blob.copy()
+    unknown[tag_at : tag_at + 2] = b"f4"
+    p.write_bytes(reseal(unknown))
+    with pytest.raises(CorruptCheckpoint, match="entry 'w' has an unknown dtype tag b'f4'"):
         load_named_tensors(str(p))
     huge = blob.copy()
     huge[dim_at : dim_at + 8] = b"\xff" * 8  # 2**64-ish elements
-    p.write_bytes(bytes(huge))
+    p.write_bytes(reseal(huge))
     with pytest.raises(CorruptCheckpoint, match="truncated or corrupt"):
         load_named_tensors(str(p))
+
+
+class HalfWriter:
+    """A file opened for writing whose first write stores half its bytes
+    and then fails, as a full disk would."""
+
+    def __init__(self, path, mode):
+        self.f = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, b):
+        self.f.write(b[: len(b) // 2])
+        self.f.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_a_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    p = tmp_path / "ckpt.stkt"
+    save_named_tensors(str(p), {"w": np.ones((2, 2))})
+    before = p.read_bytes()
+    opened = []
+
+    def half_writer(path, mode):
+        opened.append(Path(path))
+        return HalfWriter(path, mode)
+
+    monkeypatch.setattr(te, "open", half_writer, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        save_named_tensors(str(p), {"w": np.zeros((2, 2))})
+    monkeypatch.undo()
+    # the write went to a file beside the checkpoint, which is gone again
+    assert [q.parent for q in opened] == [tmp_path] and opened[0] != p
+    assert p.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == [p]
+    # a new file gets the mode a plain open gives, not a temp file's 0600
+    plain = tmp_path / "plain"
+    plain.write_bytes(b"")
+    save_named_tensors(str(tmp_path / "new.stkt"), {"w": np.ones(2)})
+    assert stat.S_IMODE((tmp_path / "new.stkt").stat().st_mode) == stat.S_IMODE(
+        plain.stat().st_mode
+    )
 
 
 def test_minibatches_match_the_cursor_loop():

@@ -11,9 +11,7 @@ from stroketok.tensor_engine import (
     ParameterStore,
     Tensor,
     backward,
-    load_named_tensors,
     no_grad,
-    save_named_tensors,
 )
 from stroketok.vq_codec import (
     BadTokenId,
@@ -448,34 +446,12 @@ def test_checkpoint_round_trip(tmp_path):
     assert cfg2 == cfg
     for name in store.state_dict():
         assert np.array_equal(store[name].data, store2[name].data)
+    for u, u2 in zip(codebook.usage, codebook2.usage, strict=True):
+        assert u2.dtype == np.int64 and np.array_equal(u, u2)
     g = gen_synthetic(1, 31)[0]
     s1 = tokenize(g, store, codebook, cfg)
     s2 = tokenize(g, store2, codebook2, cfg2)
     assert s1.tokens == s2.tokens
-
-
-def test_checkpoint_with_the_retired_loss_names_entry_loads(tmp_path):
-    """Checkpoints written while CodecConfig had `conventional_loss_names`
-    carry a `config.conventional_loss_names` entry; they still load."""
-    cfg = small_cfg(steps=2)
-    store, codebook, _ = train(scaled_corpus(3, 17), cfg)
-    p = tmp_path / "vq.stkt"
-    save_vq_checkpoint(str(p), store, codebook, cfg)
-    named = load_named_tensors(str(p))
-    assert "config.conventional_loss_names" not in named
-    named["config.conventional_loss_names"] = np.array(1.0)
-    save_named_tensors(str(p), named)
-    store2, codebook2, cfg2 = load_vq_checkpoint(str(p))
-    assert cfg2 == cfg
-    for name in store.state_dict():
-        assert np.array_equal(store[name].data, store2[name].data)
-    for u, u2 in zip(codebook.usage, codebook2.usage):
-        assert np.array_equal(u, u2)
-
-
-# ---------------------------------------------------------------------------
-# _nearest against its brute-force oracle
-# ---------------------------------------------------------------------------
 
 
 def brute_nearest(points, entries):
