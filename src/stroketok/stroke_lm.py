@@ -8,14 +8,18 @@ embedding table that never trains; only the stroke embedding, the decoder
 blocks, and the output head do. The head starts at zero, so an untrained
 model scores every token uniformly (cross-entropy = ln V exactly).
 
-One forward serves every caller. `_trunk` runs a batch of samples as one
-right-padded (B, S, D) array through the blocks and addresses its rows by
-(sample, position) pairs: each embedding table takes its own ids, and the
-logits are read back at the token rows' pairs. Attention is one engine op
-over every head that skips the masked keys and the padding of shorter
-samples tile by tile. Training runs one batched graph per step
-(`batch_loss` over the minibatch); `sequence_loss` and `forward_logits` are
-its one-sample case.
+One forward serves every caller. `_trunk` lays a batch of samples' rows
+end to end as one packed (N, D) array, N the sum of their lengths, and
+runs it through the blocks, so every op but attention works on real rows
+only. It addresses rows by packed row number: each embedding table takes
+its own ids, and the logits are read back at the token rows' numbers.
+Attention is one engine op over every head; it alone is told where each
+sample ends, and it pads the samples into tiles inside the op, skipping
+the masked keys and the padding of shorter samples tile by tile (the
+variable-length layout of FlashAttention-2, Dao 2023). Training runs one
+batched graph per step (`batch_loss` over the minibatch); `sequence_loss`
+and `forward_logits` are its one-sample case, where the packed array is
+the sample.
 
 Generation decodes incrementally, under `no_grad`: one prefill pass runs
 the prompt and BOS and writes every layer's K/V rows into a buffer of
@@ -108,6 +112,9 @@ class Vocab:
     _kw_ids: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
+        for name in ("rvq_depth", "codebook_size", "stages"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not self.keyword_words or self.keyword_words[0] != UNK_WORD:
             self.keyword_words = [UNK_WORD] + list(self.keyword_words)
         self._kw_ids = {w: i for i, w in enumerate(self.keyword_words)}
@@ -221,72 +228,71 @@ def _trunk(
     cfg: LmConfig,
     *,
     cache: dict | None = None,
-) -> tuple[Tensor, tuple[np.ndarray, np.ndarray]]:
-    """Hidden states (B, S, D) after the last block, for B samples at once,
-    and the (sample, position) index of the token rows in them.
+) -> tuple[Tensor, np.ndarray]:
+    """Hidden states (N, D) after the last block, for B samples at once,
+    and the packed row numbers of the token rows in them.
 
-    Sample b's rows are prompts[b] then token_rows[b], right-padded to S =
-    the longest sample's length. Each table takes its own ids. The frozen
-    `prompt_embed` never records a gradient, so the prompt rows are a
-    constant (B, S, D) array gathered in numpy; `place_rows` writes the
-    `token_embed` rows over it at their (sample, position) pairs, and the
-    padding rows embed as 0. Attention gets each sample's number of real
-    rows and skips the tiles of query rows that hold only a sample's
-    padding, leaving those rows 0: no padding row's value means anything.
-    No key mask is needed for the padding: it sits after the sample's last
-    real row, so the causal mask already hides it from every real row, and
-    a real row's value and gradient do not depend on it.
+    The samples' rows lie end to end: sample b's are prompts[b] then
+    token_rows[b], so N is the sum of their lengths and no row is padding.
+    Each table takes its own ids. The frozen `prompt_embed` never records a
+    gradient, so the prompt rows are a constant (N, D) array gathered in
+    numpy; `place_rows` writes the `token_embed` rows over it at their
+    packed row numbers. Position ids restart at every sample, so
+    `embedding` (whose gradient adds repeated ids) reads them. Only
+    attention knows where one sample ends: it gets each sample's number of
+    rows.
 
     `cache` (B = 1) is a dict owned by one decoding run, and is valid only
     under `no_grad`: the K and V that attention reads from it are constant
-    views. The prefill allocates one (2, 1, max_len, D) K/V buffer per
-    layer; each call writes its K and V rows at [start, start + S) and
-    attends over a view of rows [0, start + S), so no step copies the cache.
+    views. The prefill allocates one (2, max_len, D) K/V buffer per layer;
+    each call writes its K and V rows at [start, start + N) and attends
+    over a view of rows [0, start + N), so no step copies the cache.
     """
     start = cache["positions"] if cache else 0
     lengths = [len(p) + len(t) for p, t in zip(prompts, token_rows)]
     s = max(lengths)
     if start + s > cfg.max_len:
         raise SequenceTooLong(f"{start + s} positions > max_len {cfg.max_len}")
+    # packed row numbers of the prompt and token rows, and each row's position
+    prompt_rows, rows, positions = [], [], []
+    for p, t in zip(prompts, token_rows):
+        first = len(positions) + len(p)
+        prompt_rows += range(len(positions), first)
+        rows += range(first, first + len(t))
+        positions += range(start, start + len(p) + len(t))
+    rows = np.array(rows)
+    n = len(positions)
     words = store["prompt_embed"].data
-    x0 = np.zeros((len(prompts), s, words.shape[1]))
-    for b, prompt in enumerate(prompts):
-        x0[b, : len(prompt)] = words[prompt]
-    rows = (
-        np.repeat(np.arange(len(prompts)), [len(t) for t in token_rows]),
-        np.concatenate([np.arange(len(p), n) for p, n in zip(prompts, lengths)]),
-    )
+    x0 = np.empty((n, words.shape[1]))
+    x0[prompt_rows] = words[[w for p in prompts for w in p]]
     tokens = embedding(store["token_embed"], np.concatenate(token_rows))
-    x = add(
-        place_rows(tokens, rows, x0),
-        take_rows(store["pos_embed"], np.arange(start, start + s)),
-    )
+    x = add(place_rows(tokens, rows, x0), embedding(store["pos_embed"], positions))
     for layer in range(cfg.layers):
         p = f"layer{layer}"
         h = layer_norm(x, store[f"{p}.ln1.g"], store[f"{p}.ln1.b"])
         q, k, v = (
-            linear(h, store[f"{p}.attn.w{n}"], store[f"{p}.attn.w{n}b"]) for n in "qkv"
+            linear(h, store[f"{p}.attn.w{c}"], store[f"{p}.attn.w{c}b"]) for c in "qkv"
         )
         if cache is not None:
             if not start:  # the prefill
-                cache[p] = np.empty((2, 1, cfg.max_len, words.shape[1]))
+                cache[p] = np.empty((2, cfg.max_len, words.shape[1]))
             kv = cache[p]
-            kv[0, :, start : start + s] = k.data
-            kv[1, :, start : start + s] = v.data
-            k, v = Tensor(kv[0, :, : start + s]), Tensor(kv[1, :, : start + s])
+            kv[0, start : start + n] = k.data
+            kv[1, start : start + n] = v.data
+            k, v = Tensor(kv[0, : start + n]), Tensor(kv[1, : start + n])
         a = attention(q, k, v, cfg.heads, lengths, start)
         x = add(x, linear(a, store[f"{p}.attn.wo"], store[f"{p}.attn.wob"]))
         h = layer_norm(x, store[f"{p}.ln2.g"], store[f"{p}.ln2.b"])
         h = relu(linear(h, store[f"{p}.mlp.w1"], store[f"{p}.mlp.b1"]))
         x = add(x, linear(h, store[f"{p}.mlp.w2"], store[f"{p}.mlp.b2"]))
     if cache is not None:
-        cache["positions"] = start + s
+        cache["positions"] = start + n
     return x, rows
 
 
-def _logits(x: Tensor, rows, store: ParameterStore) -> Tensor:
-    """Output logits (N, V) for the N rows of the trunk's (B, S, D) output
-    at `rows`, its (sample, position) pairs."""
+def _logits(x: Tensor, rows: np.ndarray, store: ParameterStore) -> Tensor:
+    """Output logits (len(rows), V) for the trunk's packed output rows
+    numbered `rows`."""
     h = layer_norm(take_rows(x, rows), store["ln_f.g"], store["ln_f.b"])
     return linear(h, store["head.w"], store["head.b"])
 
@@ -307,7 +313,7 @@ def forward_logits(
     Prompt ids index the prompt table and token ids the token table, each
     its own ids. `vocab` is not read (the token table's rows are the
     vocabulary); it stays in the signature the benchmark calls. This is the
-    one-sample case of the batched trunk that training runs.
+    one-sample case of the packed trunk that training runs.
 
     `cache`, when given, is a dict owned by one decoding run under
     `no_grad`. It holds a preallocated K/V buffer per layer and the number
@@ -333,8 +339,8 @@ def batch_loss(
     the samples.
 
     The trunk runs once over every sample's prompt + [BOS] + tokens rows,
-    right-padded to the longest; only the n + 1 real rows of each sample
-    reach the output head, each weighted 1 / (n + 1).
+    packed end to end; only each sample's n + 1 token rows reach the output
+    head, each weighted 1 / (n + 1).
     """
     for prompt, seq in zip(prompts, seqs):
         if len(prompt) + len(seq) + 2 > cfg.max_len:

@@ -16,17 +16,17 @@ concat, sum_all, mean_all) live in `tests/oracle_ops.py`.
 
 Rows are time-major throughout. The sequence-model ops take leading axes:
 `linear`, `layer_norm`, `relu` and `add` act on (..., D) rows however many
-leading axes there are, `embedding` takes ids of any shape, `take_rows` and
-`place_rows` take an index of rows over the leading axes (the LM's
-(sample, position) pairs, the codec's packed rows), and `attention`
-takes (B, S, D) queries against (B, T, D) keys and values, splits D into
-heads itself, and takes each sample's number of real rows: it scores no
-key above a query tile's diagonal and no tile that holds only a sample's
-padding, whose output rows it leaves at 0. The convolutions take (L, C)
-rows; several samples run as one sequence with zero rows between them (the
-codec's `Packing`). Both are GEMMs over im2col windows (`_im2col`, one
-strided view copied once) and their adjoint (`_col2im`, one strided add
-per tap).
+leading axes there are, `embedding` takes ids of any shape, and
+`take_rows` and `place_rows` take an index of rows over the leading axes
+(the LM's and the codec's packed row numbers). `attention` takes the rows
+of several samples packed end to end as (N, D) queries, keys and values,
+with each sample's number of rows; it splits D into heads itself, pads the
+samples into tiles only inside the op, and scores no key above a query
+tile's diagonal and no tile that holds only a sample's padding. The
+convolutions take (L, C) rows; several samples run as one sequence with
+zero rows between them (the codec's `Packing`). Both are GEMMs over
+im2col windows (`_im2col`, one strided view copied once) and their
+adjoint (`_col2im`, one strided add per tap).
 
 All math is float64 and deterministic (fixed reduction order), so identical
 seeds give bit-identical parameters. The one scatter whose indices may
@@ -441,69 +441,92 @@ def embedding(table: Tensor, ids) -> Tensor:
 def attention(
     q: Tensor, k: Tensor, v: Tensor, heads: int, lengths, start: int = 0
 ) -> Tensor:
-    """Causal multi-head scaled dot-product attention as one op.
+    """Causal multi-head scaled dot-product attention as one op, over
+    samples packed end to end.
 
-    q (B, S, D) holds the rows at positions start .. start+S-1; k and v
-    (B, start+S, D) hold every position up to the last query (`start` > 0
-    when earlier keys and values come from a decoding cache). Sample b's
-    real rows are its first lengths[b] (1 <= lengths[b] <= S); the rest are
-    padding. Each of the `heads` heads owns dh = D / heads consecutive
-    columns, and works in (B, H, S, dh):
+    q (N, D) holds the rows of B samples laid one after another: sample b
+    owns the next lengths[b] rows (every length >= 1, their sum N). k and v
+    (start + N, D) are laid out the same way, after `start` earlier rows of
+    keys and values (a decoding cache); `start` > 0 needs a single sample.
+    Row i of a sample attends to its own sample's keys up to position
+    start + i. Each of the `heads` heads owns dh = D / heads consecutive
+    columns:
 
         out_h[i] = softmax_j(q_h[i] . k_h[j] / sqrt(dh) + mask[i, j]) @ v_h
 
     where mask is -1e9 for j > start + i (a later position) and 0 otherwise,
-    so a masked key gets weight exactly 0. Output (B, S, D), the heads'
-    columns in head order.
+    so a masked key gets weight exactly 0. Output (N, D), packed as q, the
+    heads' columns in head order.
 
-    The queries run in tiles of `_TILE` rows (the tiling of FlashAttention,
-    Dao et al. 2022, without its online softmax: a tile sees all of its
-    keys at once, so each row's softmax is exact). The tile of rows
-    [i0, i1) scores only keys [0, start + i1), masks only its diagonal
-    block, and runs only the samples with more than i0 real rows. So the
-    keys above a tile's diagonal are never scored, and sample b's rows in a
-    tile that starts at or past lengths[b] are never computed: their output
-    and their q, k and v gradients are left at 0. Real rows never see those
-    rows (the causal mask hides them). With S <= `_TILE` the one tile holds
-    every sample and every key, and runs on slices of the inputs. The
-    backward reuses each tile's weights, writes the query gradient tile by
-    tile, and adds the key and value gradients of the later tiles to the
-    first tile's in tile order.
+    Only this op sees samples as padded tiles (the variable-length layout
+    of FlashAttention-2, Dao 2023): with B > 1 it scatters q, k and v into
+    zeroed (B, S, D) arrays, S the longest length, works in (B, H, S, dh)
+    and gathers the output and the q, k and v gradients back to the packed
+    rows. One sample is viewed as (1, N, D) with no copy. The queries run
+    in tiles of `_TILE` rows (the tiling of FlashAttention, Dao et al.
+    2022, without its online softmax: a tile sees all of its keys at once,
+    so each row's softmax is exact). The tile of rows [i0, i1) scores only
+    keys [0, start + i1), masks only its diagonal block, and runs only the
+    samples with more than i0 rows. So the keys above a tile's diagonal are
+    never scored, and no tile runs that holds only a sample's padding. A
+    padding row sits after its sample's last row, so the causal mask hides
+    it from every real row, and the gather drops it. The backward reuses
+    each tile's weights, writes the query gradient tile by tile, and adds
+    the key and value gradients of the later tiles to the first tile's in
+    tile order.
     """
     qd, kd, vd = q.data, k.data, v.data
-    if qd.ndim != 3 or kd.shape != vd.shape or kd.ndim != 3:
+    if qd.ndim != 2 or kd.shape != vd.shape or kd.ndim != 2:
         raise ShapeMismatch(f"attention q{qd.shape} k{kd.shape} v{vd.shape}")
-    b, s, d = qd.shape
-    t = kd.shape[1]
-    if kd.shape[0] != b or kd.shape[2] != d or start < 0 or t != start + s:
+    n, d = qd.shape
+    if kd.shape[1] != d or start < 0 or kd.shape[0] != start + n:
         raise ShapeMismatch(
             f"attention q{qd.shape} k{kd.shape} v{vd.shape} start {start}"
         )
     if heads < 1 or d % heads:
         raise ShapeMismatch(f"attention width {d} does not split into {heads} heads")
-    if len(lengths) != b or not all(1 <= n <= s for n in lengths):
+    b = len(lengths)
+    if not b or min(lengths) < 1 or sum(lengths) != n or (start and b > 1):
         raise ShapeMismatch(
-            f"attention lengths {list(lengths)} for {b} samples of {s} rows"
+            f"attention lengths {list(lengths)} for {n} rows from start {start}"
         )
+    s = max(lengths)
+    t = start + s
     dh = d // heads
     scale = 1.0 / np.sqrt(dh)
 
-    def split(a, n):  # (B, n, D) -> (B, H, n, dh), a view of the buffers below
-        return a.reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
+    if b == 1:
+        def pad(a):  # the sample's rows as (1, rows, D), a view
+            return a[None]
 
-    qh, kh, vh = split(qd, s), split(kd, t), split(vd, t)
-    # outputs and grads no tile reaches stay 0; one tile reaches them all
-    alloc = np.empty if s <= _TILE else np.zeros
-    out_data = alloc((b, s, d))
-    out_h = split(out_data, s)
-    lengths = np.asarray(lengths)
+        def unpad(a):
+            return a[0]
+    else:
+        sample = np.repeat(np.arange(b), lengths)
+        pairs = (sample, np.arange(n) - (np.cumsum(lengths) - lengths)[sample])
+
+        def pad(a):  # packed (N, D) -> (B, S, D), padding rows 0
+            out = np.zeros((b, s, d))
+            out[pairs] = a
+            return out
+
+        def unpad(a):
+            return a[pairs]
+
+    def split(a, m):  # (B, m, D) -> (B, H, m, dh), a view of the buffers below
+        return a.reshape(b, m, heads, dh).transpose(0, 2, 1, 3)
+
+    qh, kh, vh = split(pad(qd), s), split(pad(kd), t), split(pad(vd), t)
+    # rows no tile reaches are padding, which unpad drops
+    out_p = np.empty((b, s, d))
+    out_h = split(out_p, s)
     # per tile: (its query rows, its keys, its attention weights), each
     # index a plain slice over the batch while every sample takes part
     tiles = []
     for i0 in range(0, s, _TILE):
         i1 = min(i0 + _TILE, s)
-        live = np.flatnonzero(lengths > i0)
-        batch = slice(None) if live.size == b else live
+        live = [i for i, m in enumerate(lengths) if m > i0]
+        batch = slice(None) if len(live) == b else live
         rows = (batch, slice(None), slice(i0, i1))
         keys = (batch, slice(None), slice(0, start + i1))
         # p holds the scores, then (in place: these arrays are the op's
@@ -519,10 +542,12 @@ def attention(
         tiles.append((rows, keys, p))
 
     def bw(g):
-        gh = split(g, s)
-        dq, dk, dv = alloc((b, s, d)), alloc((b, t, d)), alloc((b, t, d))
+        gh = split(pad(g), s)
+        # later tiles add key and value grads past the first tile's keys
+        alloc = np.empty if s <= _TILE else np.zeros
+        dq, dk, dv = np.empty((b, s, d)), alloc((b, t, d)), alloc((b, t, d))
         dq_h, dk_h, dv_h = split(dq, s), split(dk, t), split(dv, t)
-        for n, (rows, keys, p) in enumerate(tiles):
+        for m, (rows, keys, p) in enumerate(tiles):
             g_tile = gh[rows]
             # softmax backward, in place: dz = p * (dp - sum_j dp * p)
             dz = g_tile @ vh[keys].transpose(0, 1, 3, 2)
@@ -531,18 +556,19 @@ def attention(
             dq_h[rows] = dz @ kh[keys]
             dk_tile = dz.transpose(0, 1, 3, 2) @ qh[rows]
             dv_tile = p.transpose(0, 1, 3, 2) @ g_tile
-            if n == 0:  # every sample has a row in the first tile
+            if m == 0:  # every sample has a row in the first tile
                 dk_h[keys], dv_h[keys] = dk_tile, dv_tile
             else:
                 dk_h[keys] += dk_tile
                 dv_h[keys] += dv_tile
+        dq, dk = unpad(dq), unpad(dk)
         dq *= scale
         dk *= scale
         _accum(q, dq)
         _accum(k, dk)
-        _accum(v, dv)
+        _accum(v, unpad(dv))
 
-    return _make(out_data, (q, k, v), bw)
+    return _make(unpad(out_p), (q, k, v), bw)
 
 
 # added to the variance before the square root

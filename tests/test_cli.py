@@ -494,6 +494,8 @@ def test_checkpoint_missing_or_bad_entry_exits_1_with_one_line(pipeline, capsys)
          "checkpoint record 'vocab' has an unknown field 'stroke_vocab'"),
         (lm_record("int_words.ckpt", "vocab", keyword_words=["<unk>", 7]),
          "checkpoint record 'vocab' field 'keyword_words' must be list[str]"),
+        (lm_record("negative_size.ckpt", "vocab", codebook_size=-5),
+         "checkpoint record 'vocab': codebook_size must be >= 1"),
         (lm_record("float_heads.ckpt", "config", heads=2.5),
          "checkpoint record 'config' field 'heads' must be int, not 2.5"),
         (lm_record("uneven_heads.ckpt", "config", heads=3),

@@ -163,7 +163,7 @@ def test_pad_positions_zero_gradient():
         0, 0.1, size=store["head.w"].data.shape
     )
     prompts = [build_prompt(kw, vocab) for kw, _ in pairs[:2]]
-    # the second sample is 6 tokens longer, so the first is padded with PAD rows
+    # the second sample is 6 tokens longer than the first
     seqs = [pairs[0][1].tokens, pairs[1][1].tokens + pairs[2][1].tokens]
     assert len(prompts[0]) + len(seqs[0]) < len(prompts[1]) + len(seqs[1])
 
@@ -175,8 +175,37 @@ def test_pad_positions_zero_gradient():
     assert float(loss_batch.data) == pytest.approx(np.mean(singles), abs=1e-12)
 
     backward(loss_batch)
-    # PAD is never an input: padding rows take no embedding row at all
+    # PAD is never an input, so its embedding row takes no gradient
     assert not store["token_embed"].grad[vocab.pad_id].any()
+
+
+def test_no_lm_op_in_a_training_step_sees_a_padding_row(monkeypatch):
+    """Over ragged samples, every layer norm and linear of a training step
+    runs on the samples' real rows only: the trunk's on the sum of their
+    lengths, the output head's on their token rows."""
+    cfg = tiny_cfg(layers=2)
+    pairs = make_pairs()
+    vocab = build_vocab(pairs)
+    store = randomized_store(vocab, cfg, seed=2)
+    prompts = [build_prompt(kw, vocab) for kw, _ in pairs[:3]]
+    seqs = [pairs[0][1].tokens[:2], pairs[1][1].tokens, []]
+    trunk_rows = sum(len(p) + len(s) + 1 for p, s in zip(prompts, seqs))
+    token_rows = sum(len(s) + 1 for s in seqs)
+    seen = []
+
+    def recording(op):
+        def record(x, *args):
+            seen.append((op.__name__, int(np.prod(x.data.shape[:-1]))))
+            return op(x, *args)
+        return record
+
+    for name in ("linear", "layer_norm"):
+        monkeypatch.setattr(stroke_lm, name, recording(getattr(stroke_lm, name)))
+    backward(batch_loss(prompts, seqs, store, vocab, cfg))
+    # per layer: two layer norms and six linears; then ln_f and the head
+    assert len(seen) == 8 * cfg.layers + 2
+    assert {rows for _, rows in seen[: 8 * cfg.layers]} == {trunk_rows}
+    assert seen[8 * cfg.layers :] == [("layer_norm", token_rows), ("linear", token_rows)]
 
 
 def test_batch_over_attention_tiles_matches_its_samples():
@@ -500,12 +529,12 @@ def test_decode_steps_write_into_the_buffers_of_the_prefill(monkeypatch):
             forward_logits([], [t], store, vocab, cfg, cache=cache)
     assert len(buffers) == cfg.layers
     assert [b for b in cache.values() if isinstance(b, np.ndarray)] == buffers
-    assert all(b.shape == (2, 1, cfg.max_len, cfg.embed_dim) for b in buffers)
+    assert all(b.shape == (2, cfg.max_len, cfg.embed_dim) for b in buffers)
     assert len(seen) == 3 * cfg.layers
     for n, (k, v) in enumerate(seen):
         positions = cache["positions"] - 2 + n // cfg.layers
         buffer = buffers[n % cfg.layers]
-        assert k.shape == v.shape == (1, positions, cfg.embed_dim)
+        assert k.shape == v.shape == (positions, cfg.embed_dim)
         assert np.shares_memory(k, buffer) and np.shares_memory(v, buffer)
 
 

@@ -273,6 +273,38 @@ def per_head_attention(q, k, v, heads, start, g=None):
     return out if g is None else (out, dq, dk, dv)
 
 
+def packed_attention(q, k, v, heads, lengths, start, g=None):
+    """`attention` over the real rows of padded q (B, S, D) and k, v
+    (B, start + S, D), sample b's first lengths[b] rows (and `start` cache
+    rows before them): all samples packed into one call when start is 0,
+    one call per sample after a cache. The output and, with an output
+    gradient `g`, the q, k and v grads come back padded as the inputs,
+    0 at padding."""
+    calls = [range(len(lengths))] if not start else [[b] for b in range(len(lengths))]
+    out = np.zeros_like(q)
+    grads = [np.zeros_like(a) for a in (q, k, v)]
+    for batch in calls:
+        sizes = [lengths[b] for b in batch]
+
+        def pack(a, extra=0):
+            return np.concatenate([a[b, : extra + n] for b, n in zip(batch, sizes)])
+
+        qt = Tensor(pack(q), requires_grad=True)
+        kt, vt = (Tensor(pack(a, start), requires_grad=True) for a in (k, v))
+        got = attention(qt, kt, vt, heads, sizes, start)
+        q_cuts = np.cumsum(sizes)[:-1]
+        for b, part in zip(batch, np.split(got.data, q_cuts)):
+            out[b, : len(part)] = part
+        if g is None:
+            continue
+        backward(sum_all(mul(got, Tensor(pack(g)))))
+        kv_cuts = np.cumsum([start + n for n in sizes])[:-1]
+        for grad, t, cuts in zip(grads, (qt, kt, vt), (q_cuts, kv_cuts, kv_cuts)):
+            for b, part in zip(batch, np.split(t.grad, cuts)):
+                grad[b, : len(part)] = part
+    return out if g is None else (out, *grads)
+
+
 @pytest.mark.parametrize("heads", [1, 2, 4])
 @pytest.mark.parametrize("start", [0, 3])
 def test_attention_matches_per_head_loop(heads, start):
@@ -280,15 +312,15 @@ def test_attention_matches_per_head_loop(heads, start):
     q = rng.standard_normal((2, 5, 8))
     k = rng.standard_normal((2, start + 5, 8))
     v = rng.standard_normal((2, start + 5, 8))
-    got = attention(Tensor(q), Tensor(k), Tensor(v), heads, [5, 5], start).data
+    got = packed_attention(q, k, v, heads, [5, 5], start)
     np.testing.assert_allclose(got, per_head_attention(q, k, v, heads, start), atol=1e-12)
 
 
 @pytest.mark.parametrize("start", [0, 3])
 def test_tiled_attention_over_ragged_samples_matches_per_head_loop(start):
     """Three tiles of query rows; the second sample has no rows in the
-    last tile and the third none past the first. Real rows and every grad
-    match the loop; the rows no tile computes are 0."""
+    last tile and the third none past the first. Packed real rows and
+    every grad match the loop over the padded samples."""
     lengths = [150, 70, 9]
     rng = np.random.default_rng(start)
     q = rng.standard_normal((3, 150, 8))
@@ -298,34 +330,34 @@ def test_tiled_attention_over_ragged_samples_matches_per_head_loop(start):
     g = rng.standard_normal(q.shape)
     for b, n in enumerate(lengths):
         g[b, n:] = 0.0
-    qt, kt, vt = (Tensor(a, requires_grad=True) for a in (q, k, v))
-    got = attention(qt, kt, vt, 2, lengths, start)
-    backward(sum_all(mul(got, Tensor(g))))
-    want, dq, dk, dv = per_head_attention(q, k, v, 2, start, g)
+    got, *grads = packed_attention(q, k, v, 2, lengths, start, g)
+    want, *want_grads = per_head_attention(q, k, v, 2, start, g)
     for b, n in enumerate(lengths):
-        np.testing.assert_allclose(got.data[b, :n], want[b, :n], rtol=0, atol=1e-12)
-    assert not got.data[1, 128:].any() and not got.data[2, 64:].any()
-    for t, want_grad in ((qt, dq), (kt, dk), (vt, dv)):
-        np.testing.assert_allclose(t.grad, want_grad, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got[b, :n], want[b, :n], rtol=0, atol=1e-12)
+    for grad, want_grad in zip(grads, want_grads):
+        np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("start", [0, 2])
 def test_gradcheck_attention(start):
+    """Two packed samples, or one after `start` cache rows."""
+    lengths = [3] if start else [3, 2]
+    n = sum(lengths)
     rng = np.random.default_rng(start)
-    q = rand_param(rng, 2, 3, 4)
-    k = rand_param(rng, 2, start + 3, 4)
-    v = rand_param(rng, 2, start + 3, 4)
-    w = Tensor(rng.standard_normal((2, 3, 4)))
-    fd_check(lambda: mean_all(mul(attention(q, k, v, 2, [3, 2], start), w)), [q, k, v])
+    q = rand_param(rng, n, 4)
+    k = rand_param(rng, start + n, 4)
+    v = rand_param(rng, start + n, 4)
+    w = Tensor(rng.standard_normal((n, 4)))
+    fd_check(lambda: mean_all(mul(attention(q, k, v, 2, lengths, start), w)), [q, k, v])
 
 
 def test_gradcheck_attention_across_the_tile_edge():
     """70 rows are two tiles; the second sample ends inside the second tile."""
     rng = np.random.default_rng(70)
-    q = rand_param(rng, 2, 70, 4)
-    k = rand_param(rng, 2, 70, 4)
-    v = rand_param(rng, 2, 70, 4)
-    w = Tensor(rng.standard_normal((2, 70, 4)))
+    q = rand_param(rng, 136, 4)
+    k = rand_param(rng, 136, 4)
+    v = rand_param(rng, 136, 4)
+    w = Tensor(rng.standard_normal((136, 4)))
     fd_check(lambda: mean_all(mul(attention(q, k, v, 2, [70, 66]), w)), [q, k, v])
 
 
@@ -378,19 +410,23 @@ def test_batched_ops_shape_errors():
     def t(*shape):
         return Tensor(np.ones(shape))
 
-    good = (t(2, 3, 4), t(2, 5, 4), t(2, 5, 4))
-    assert attention(*good, 2, [3, 1], 2).data.shape == (2, 3, 4)
+    good = (t(4, 4), t(4, 4), t(4, 4))
+    cached = (t(3, 4), t(5, 4), t(5, 4))
+    assert attention(*good, 2, [3, 1]).data.shape == (4, 4)
+    assert attention(*cached, 2, [3], 2).data.shape == (3, 4)
     bad_calls = [
-        lambda: attention(*good, 3, [3, 3], 2),  # D = 4 does not split into 3 heads
-        lambda: attention(*good, 0, [3, 3], 2),
-        lambda: attention(*good, 2, [3, 3], 1),  # keys must cover start + S positions
-        lambda: attention(*good, 2, [3], 2),  # one length per sample
-        lambda: attention(*good, 2, [3, 4], 2),  # a length above S
-        lambda: attention(*good, 2, [3, 0], 2),
-        lambda: attention(t(3, 4), t(5, 4), t(5, 4), 2, [3, 3], 2),
-        lambda: attention(t(2, 3, 4), t(2, 5, 4), t(2, 4, 4), 2, [3, 3], 2),
-        lambda: attention(t(2, 3, 4), t(1, 5, 4), t(1, 5, 4), 2, [3, 3], 2),
-        lambda: attention(t(2, 3, 4), t(2, 5, 6), t(2, 5, 6), 2, [3, 3], 2),
+        lambda: attention(*good, 3, [3, 1]),  # D = 4 does not split into 3 heads
+        lambda: attention(*good, 0, [3, 1]),
+        lambda: attention(*good, 2, [3, 2]),  # lengths must sum to N
+        lambda: attention(*good, 2, [3]),
+        lambda: attention(*good, 2, [4, 0]),
+        lambda: attention(*good, 2, []),
+        lambda: attention(*cached, 2, [3], 1),  # keys must cover start + N rows
+        lambda: attention(t(4, 4), t(5, 4), t(5, 4), 2, [3, 1]),
+        lambda: attention(t(4, 4), t(6, 4), t(6, 4), 2, [3, 1], 2),  # start > 0, 2 samples
+        lambda: attention(t(1, 4, 4), t(1, 4, 4), t(1, 4, 4), 2, [4]),
+        lambda: attention(t(4, 4), t(4, 4), t(3, 4), 2, [3, 1]),
+        lambda: attention(t(4, 4), t(4, 6), t(4, 6), 2, [3, 1]),
         lambda: linear(t(2, 3, 4), t(5, 6), t(6)),
         lambda: linear(t(2, 3, 4), t(4, 6), t(5)),
         lambda: linear(t(2, 3, 4), t(4), t(4)),
