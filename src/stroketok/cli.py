@@ -2,9 +2,10 @@
 
 Every subcommand runs in the calling process, one file after another.
 Exit codes: 0 success, 1 domain error (message on stderr), 2 usage error.
-All randomness is controlled by --seed (or the config file's seed). Given
-identical inputs, flags, and seed, every subcommand writes byte-identical
-artifacts.
+Training settings, the seed included, come from the --config file alone;
+decoding choices are flags of the commands that decode (--fixer, and
+generate's --temperature, --top-k and sampling --seed). Given identical
+inputs, config and flags, every subcommand writes byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ def _load_corpus_matrices(corpus_dir: Path):
 
 
 def cmd_train_vq(ns) -> int:
-    cfg, _ = load_pipeline_config(ns.config, {"seed": ns.seed, "steps": ns.steps})
+    cfg, _ = load_pipeline_config(ns.config)
     matrices = _load_corpus_matrices(Path(ns.corpus))
     store, codebook, logs = train_vq(matrices, cfg)
     save_vq_checkpoint(ns.out, store, codebook, cfg)
@@ -209,7 +210,7 @@ def cmd_detokenize(ns) -> int:
 
 
 def cmd_train_lm(ns) -> int:
-    _, cfg = load_pipeline_config(ns.config, {"seed": ns.seed, "lm_steps": ns.steps})
+    _, cfg = load_pipeline_config(ns.config)
     tokens_dir = Path(ns.tokens)
     corpus_dir = Path(ns.corpus) if ns.corpus else tokens_dir
     tok_files = sorted(tokens_dir.glob("*.tok"))
@@ -247,12 +248,8 @@ def cmd_generate(ns) -> int:
     lm_store, vocab, lm_cfg = load_lm_checkpoint(ns.lm)
     vq_store, codebook, vq_cfg = load_vq_checkpoint(ns.vq)
     check_layout(ns.lm, vocab.layout, ns.vq, vq_cfg.layout)
-    flags = {"temperature": ns.temperature, "top_k": ns.top_k, "seed": ns.seed}
-    given = {k: v for k, v in flags.items() if v is not None}
-    # through the constructor's checks, as a config file's values go
-    lm_cfg = dataclasses.replace(lm_cfg, **given)
     keywords = ns.keywords.split()
-    seq = lm_generate(keywords, lm_store, vocab, lm_cfg)
+    seq = lm_generate(keywords, lm_store, vocab, lm_cfg, ns.temperature, ns.top_k, ns.seed)
     if not seq.tokens:
         raise StroketokError("model generated an empty token sequence")
     g, report = detokenize(seq, vq_store, codebook, vq_cfg, fixer=ns.fixer)
@@ -369,8 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
     p.add_argument("--log", default=None)
     p.set_defaults(fn=cmd_train_vq)
 
@@ -385,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--meta", default=None, help="source graphic for viewbox/length")
-    p.add_argument("--fixer", choices=FIXERS, default=None)
+    p.add_argument("--fixer", choices=FIXERS, default=FIXERS[0])
     p.set_defaults(fn=cmd_detokenize)
 
     p = sub.add_parser("train-lm", help="train the keyword-conditioned generator")
@@ -393,8 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", default=None, help="dir with matching .json keywords")
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
     p.add_argument("--log", default=None)
     p.set_defaults(fn=cmd_train_lm)
 
@@ -402,12 +395,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lm", required=True)
     p.add_argument("--vq", required=True)
     p.add_argument("--keywords", required=True)
-    p.add_argument("--fixer", choices=FIXERS, default=None)
+    p.add_argument("--fixer", choices=FIXERS, default=FIXERS[0])
     p.add_argument("--out", required=True)
     p.add_argument("--tokens-out", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--temperature", type=float, default=None)
-    p.add_argument("--top-k", dest="top_k", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--temperature", type=float, default=1.0)
+    p.add_argument("--top-k", dest="top_k", type=int, default=0)
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("evaluate", help="score candidate graphics against golden")
@@ -429,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def dispatch(argv=None) -> int:
+def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     parser = build_parser()
     try:
@@ -441,10 +434,6 @@ def dispatch(argv=None) -> int:
     except (StroketokError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-
-
-def main(argv=None) -> int:
-    return dispatch(argv)
 
 
 if __name__ == "__main__":

@@ -1,14 +1,15 @@
-"""Flat key=value pipeline configuration shared by the CLI subcommands.
+"""Flat key=value training configuration shared by train-vq and train-lm.
 
 Files hold one `key = value` per line ('#' comments allowed). The keys are
 the fields of `CodecConfig` under their own names and the fields of
-`LmConfig` under an `lm_` prefix, with two exceptions: `seed` sets both
-configs, and `temperature` and `top_k` keep their bare names. A value
-parses by its field's annotation; a `tuple[int, ...]` field takes
+`LmConfig` under an `lm_` prefix, except `seed`, which sets both configs.
+A value parses by its field's annotation; a `tuple[int, ...]` field takes
 comma-separated ints (`channels = 16,32`). Unknown keys are rejected so
-typos fail loudly. Command-line flags override file values, which override
-the dataclass defaults. Both configs are built, so either training
-subcommand validates the whole file.
+typos fail loudly. The file is the only source of these settings: a key it
+leaves out takes the dataclass default. Both configs are built, so either
+training subcommand validates the whole file. Decoding choices (the fixer,
+the sampling temperature, top-k and seed) are not config keys but flags of
+the commands that decode.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ def _key_targets() -> dict[str, list]:
     for f in fields(CodecConfig):
         targets.setdefault(f.name, []).append((CodecConfig, f))
     for f in fields(LmConfig):
-        key = f.name if f.name in ("seed", "temperature", "top_k") else f"lm_{f.name}"
+        key = f.name if f.name == "seed" else f"lm_{f.name}"
         targets.setdefault(key, []).append((LmConfig, f))
     return targets
 
@@ -48,11 +49,9 @@ def _coerce(key: str, raw: str):
     raw = raw.strip()
     if kind == "int":
         return int(raw)
-    if kind in ("float", "float | None"):
+    if kind == "float":
         return float(raw)
-    if kind == "tuple[int, ...]":
-        return tuple(int(c) for c in raw.split(",") if c)
-    return raw
+    return tuple(int(c) for c in raw.split(",") if c)
 
 
 def parse_config_text(text: str) -> dict:
@@ -73,18 +72,11 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def load_pipeline_config(
-    path: str | None, overrides: dict | None = None
-) -> tuple[CodecConfig, LmConfig]:
+def load_pipeline_config(path: str | None) -> tuple[CodecConfig, LmConfig]:
     values: dict = {}
     if path:
         with open(path) as f:
-            values.update(parse_config_text(f.read()))
-    for key, val in (overrides or {}).items():
-        if val is not None:
-            if key not in _TARGETS:
-                raise UnknownConfigKey(f"unknown config key {key!r}")
-            values[key] = val
+            values = parse_config_text(f.read())
     kwargs: dict = {CodecConfig: {}, LmConfig: {}}
     for key, val in values.items():
         for cls, f in _TARGETS[key]:

@@ -33,7 +33,6 @@ an input and never emitted. Keyword words live in their own map (UNK = 0).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,8 +57,6 @@ from .tensor_engine import (
 )
 from .vq_codec import Diverged, StrokeTokenSeq
 
-log = logging.getLogger(__name__)
-
 PROMPT_TEMPLATE = "Generating SVG according to keywords:"
 UNK_WORD = "<unk>"
 # width of each block's MLP, in multiples of embed_dim
@@ -82,8 +79,6 @@ class LmConfig:
     max_len: int = 512
     lr: float = 1e-3
     seed: int = 0
-    temperature: float = 1.0
-    top_k: int = 0
     steps: int = 3000
     batch_size: int = 8
 
@@ -97,10 +92,6 @@ class LmConfig:
             raise ValueError("embed_dim must divide evenly across heads")
         if not 0 < self.lr < np.inf:
             raise ValueError("lr must be finite and > 0")
-        if not 0 <= self.temperature < np.inf:
-            raise ValueError("temperature must be finite and >= 0")
-        if self.top_k < 0:
-            raise ValueError("top_k must be >= 0")
 
 
 @dataclass
@@ -430,21 +421,29 @@ def generate(
     store: ParameterStore,
     vocab: Vocab,
     cfg: LmConfig,
+    temperature: float,
+    top_k: int,
+    seed: int,
 ) -> StrokeTokenSeq:
     """Autoregressive sampling until EOS or the length cap.
 
     temperature == 0 means argmax (deterministic, ties to the lowest id);
     otherwise softmax sampling at the given temperature over the top_k ids
-    (0 = all), drawing from a generator seeded with cfg.seed. PAD/BOS can
-    never be emitted.
+    (0 = all), drawing from a generator seeded with `seed`. PAD/BOS can
+    never be emitted. A temperature that is negative or not finite, or a
+    negative top_k, raises ValueError.
 
     One `forward_logits` call runs the prompt and BOS (the prefill) into a
     per-layer K/V cache; each later call runs only the token just emitted,
     so a sequence of n tokens costs prompt + n positions, not a quadratic
     number.
     """
+    if not 0 <= temperature < np.inf:
+        raise ValueError("temperature must be finite and >= 0")
+    if top_k < 0:
+        raise ValueError("top_k must be >= 0")
     prompt_ids = build_prompt(keywords, vocab)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     out: list[int] = []
     truncated = False
     cache: dict = {}
@@ -457,7 +456,7 @@ def generate(
             logits = forward_logits(context, new_ids, store, vocab, cfg, cache=cache)
             row = logits.data[-1].copy()
             row[[vocab.pad_id, vocab.bos_id]] = -np.inf
-            nxt = sample_from_logits(row, cfg.temperature, cfg.top_k, rng)
+            nxt = sample_from_logits(row, temperature, top_k, rng)
             if nxt == vocab.eos_id:
                 break
             out.append(nxt)

@@ -878,8 +878,6 @@ def config_record(obj) -> np.ndarray:
 _RECORD_TYPES = {
     "int": lambda v: type(v) is int,
     "float": lambda v: type(v) in (int, float),
-    "float | None": lambda v: v is None or type(v) in (int, float),
-    "str": lambda v: type(v) is str,
     "tuple[int, ...]": lambda v: type(v) is list and all(type(c) is int for c in v),
     "list[str]": lambda v: type(v) is list and all(type(w) is str for w in v),
 }

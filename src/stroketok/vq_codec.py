@@ -31,7 +31,6 @@ reseeded from recent latents.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,8 +57,6 @@ from .tensor_engine import (
     stop_gradient,
     take_rows,
 )
-
-log = logging.getLogger(__name__)
 
 TOKEN_FORMAT_VERSION = "tokens v1"
 DEFAULT_VIEWBOX = (0.0, 0.0, 256.0, 256.0)
@@ -101,12 +98,8 @@ class CodecConfig:
     batch_size: int = 8
     steps: int = 2000
     kernel_size: int = 4
-    target_recon: float | None = None  # <= 0 (or None) disables early stopping
-    fixer: str = FIXERS[0]
 
     def __post_init__(self):
-        if self.target_recon is not None and not self.target_recon > 0:
-            self.target_recon = None
         if self.compression_stages < 1:
             raise ValueError("compression_stages must be >= 1")
         if self.rvq_depth < 1:
@@ -119,8 +112,6 @@ class CodecConfig:
             raise ValueError("lr must be finite and > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.fixer not in FIXERS:
-            raise ValueError(f"fixer must be one of {sorted(FIXERS)}")
         if self.kernel_size < 2 or self.kernel_size % 2:
             raise ValueError("kernel_size must be even (exact stride-2 doubling)")
         # one width per compression stage: the last width repeats, and an
@@ -735,7 +726,6 @@ def train(
 
     log_rows: list[dict] = []
     reservoir: list[np.ndarray] = []
-    recent_recon: list[float] = []
 
     def new_epoch():
         reseed_pool = np.concatenate(reservoir, axis=0) if reservoir else init_latents
@@ -770,17 +760,6 @@ def train(
         if len(reservoir) > 64:
             reservoir[:] = [np.concatenate(reservoir, axis=0)[-8192:]]
 
-        if cfg.target_recon is not None:
-            recent_recon.append(terms[2])
-            if len(recent_recon) > 50:
-                recent_recon.pop(0)
-            if (
-                len(recent_recon) >= 10
-                and float(np.mean(recent_recon)) < cfg.target_recon
-            ):
-                log.info("early stop at step %d: recon %.3g", step, terms[2])
-                break
-
     return store, codebook, log_rows
 
 
@@ -806,10 +785,10 @@ def detokenize(
     store: ParameterStore,
     codebook: Codebook,
     cfg: CodecConfig,
-    fixer: str | None = None,
+    fixer: str,
 ) -> tuple[Graphic, FixReport | None]:
-    """Token ids -> (repaired Graphic, its FixReport); the fixer strategy is
-    cfg's unless given, and the report is None when no fixer runs."""
+    """Token ids -> (repaired Graphic, its FixReport) under `fixer`, one of
+    FIXERS; the report is None when no fixer runs."""
     zq = Tensor(lookup_tokens(seq.tokens, codebook))
     orig_len = seq.meta.get("orig_len")
     with no_grad():
@@ -818,11 +797,10 @@ def detokenize(
     viewbox = (vb[0], vb[1], vb[2], vb[3])
     m = scale(ms, FROM_UNIT, viewbox)
     g = from_matrix(m, viewbox, keywords=tuple(seq.meta.get("keywords", ())))
-    strategy = cfg.fixer if fixer is None else fixer
     report = None
-    if strategy == "pc":
+    if fixer == "pc":
         g, report = fix_pc(g)
-    elif strategy == "pi":
+    elif fixer == "pi":
         g, report = fix_pi(g)
     return g, report
 

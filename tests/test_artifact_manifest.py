@@ -23,7 +23,7 @@ def test_cli_pipeline_is_byte_deterministic(tmp_path):
     assert paths == sorted(paths)
     for artifact in ("vq.ckpt", "lm.ckpt", "vq_log.json", "lm_log.json", "report.json",
                      "gen/greedy.tok", "gen/sampled.json.fixreport.json", "gen/top_k.tok",
-                     "rec_no_meta.json",
+                     "rec_no_meta.json", "rec_no_fixer.json",
                      "gen/greedy_pi.json.fixreport.json", "render.png", "render.pbm"):
         assert artifact in paths
     for stage in ("tok/", "rec/"):

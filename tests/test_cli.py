@@ -91,7 +91,6 @@ def test_train_vq_reports_codebook_health(pipeline, capsys, monkeypatch):
 def test_generate_reports_raw_length_and_cap(pipeline, capsys):
     d = pipeline
     store, vocab, cfg = load_lm_checkpoint(str(d / "lm.ckpt"))
-    cfg.temperature = 1.0
     stops = set()
     for seed in range(6):
         capsys.readouterr()
@@ -107,8 +106,7 @@ def test_generate_reports_raw_length_and_cap(pipeline, capsys):
             line,
         )
         assert m, line
-        cfg.seed = seed
-        seq = generate(["circle"], store, vocab, cfg)
+        seq = generate(["circle"], store, vocab, cfg, 1.0, 0, seed)
         assert int(m.group(1)) == len(seq.tokens)
         assert int(m.group(2)) == seq.meta["raw_len"]
         assert (m.group(3) == "length cap") == seq.meta["truncated"]
@@ -214,7 +212,8 @@ def generate_argv(d, *flags):
     ],
 )
 def test_bad_sampling_flags_exit_1_with_one_line(pipeline, capsys, flags, message):
-    """generate's flags pass the same checks as the config file's values."""
+    """generate checks its sampling flags before it draws a token: a value
+    no draw can use exits 1 with one line naming the setting."""
     capsys.readouterr()
     assert cli.main(generate_argv(pipeline, *flags)) == 1
     assert assert_one_error_line(capsys) == f"error: {message}"
@@ -403,7 +402,7 @@ def test_token_layout_mismatch_exits_1_naming_both_layouts(pipeline, capsys, tmp
     for p in sorted((d / "tok").glob("*.tok"))[:2]:
         (mixed / p.name).write_bytes(p.read_bytes())
     for argv in (
-        ["train-vq", "--corpus", d / "corpus", "--config", b8_cfg, "--out", b8, "--steps", 1],
+        ["train-vq", "--corpus", d / "corpus", "--config", b8_cfg, "--out", b8],
         ["tokenize", "--ckpt", b8, "--in", corpus[2], "--out", mixed / f"{corpus[2].stem}.tok"],
     ):
         assert cli.main([str(a) for a in argv]) == 0
@@ -462,7 +461,8 @@ def test_checkpoint_missing_or_bad_entry_exits_1_with_one_line(pipeline, capsys)
         (vq_config("str_lr.ckpt", lr="0.001"), f"{record} field 'lr' must be float, not"),
         (vq_config("zero_depth.ckpt", rvq_depth=0), f"{record}: rvq_depth must be >= 1"),
         (vq_config("zero_width.ckpt", channels=[0]), f"{record}: channels must be >= 1"),
-        (vq_config("bad_fixer.ckpt", fixer="bogus"), f"{record}: fixer must be one of"),
+        (vq_config("stored_fixer.ckpt", fixer="pc"),
+         f"{record} has an unknown field 'fixer'"),
         (rewrite_checkpoint(d / "vq.ckpt", d / "not_json.ckpt",
                             replace={"config": np.frombuffer(b"{", dtype=np.uint8)}),
          f"{record} is not JSON"),
@@ -500,6 +500,8 @@ def test_checkpoint_missing_or_bad_entry_exits_1_with_one_line(pipeline, capsys)
          "checkpoint record 'config' field 'heads' must be int, not 2.5"),
         (lm_record("uneven_heads.ckpt", "config", heads=3),
          "checkpoint record 'config': embed_dim must divide evenly across heads"),
+        (lm_record("stored_temperature.ckpt", "config", temperature=1.0),
+         "checkpoint record 'config' has an unknown field 'temperature'"),
     ]
     for bad, message in lm_cases:
         assert cli.main(["generate", "--lm", str(bad), "--vq", str(d / "vq.ckpt"),

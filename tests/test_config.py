@@ -26,9 +26,9 @@ from stroketok.vq_codec import (
 )
 
 KEYS = (
-    "alpha batch_size channels code_dim codebook_size compression_stages fixer "
+    "alpha batch_size channels code_dim codebook_size compression_stages "
     "kernel_size lm_batch_size lm_embed_dim lm_heads lm_layers lm_lr lm_max_len "
-    "lm_steps lr rvq_depth seed steps target_recon temperature top_k"
+    "lm_steps lr rvq_depth seed steps"
 ).split()
 
 # every key, each at a value other than its default
@@ -43,9 +43,7 @@ lr = 0.02
 seed = 9
 batch_size = 3
 steps = 7
-kernel_size = 6
-target_recon = 0.25  # a comment
-fixer = pi
+kernel_size = 6  # a comment
 lm_embed_dim = 12
 lm_layers = 3
 lm_heads = 3
@@ -53,18 +51,14 @@ lm_max_len = 20
 lm_lr = 0.05
 lm_steps = 11
 lm_batch_size = 2
-temperature = 0.7
-top_k = 5
 """
 
 CODEC = CodecConfig(
     compression_stages=2, rvq_depth=3, codebook_size=5, code_dim=3, channels=(4, 6),
     alpha=0.5, lr=0.02, seed=9, batch_size=3, steps=7, kernel_size=6,
-    target_recon=0.25, fixer="pi",
 )
 LM = LmConfig(
-    embed_dim=12, layers=3, heads=3, max_len=20, lr=0.05, seed=9, temperature=0.7,
-    top_k=5, steps=11, batch_size=2,
+    embed_dim=12, layers=3, heads=3, max_len=20, lr=0.05, seed=9, steps=11, batch_size=2,
 )
 
 
@@ -84,14 +78,19 @@ def test_every_key_parses_to_its_field(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "key", ["max_commands", "min_commands", "min_keywords", "eval_res", "eval_stroke_px"]
+    "key",
+    ["max_commands", "min_commands", "min_keywords", "eval_res", "eval_stroke_px",
+     "target_recon", "fixer"],
 )
 def test_keys_no_subcommand_reads_are_rejected(key):
     with pytest.raises(UnknownConfigKey, match=f"line 3: unknown key '{key}'"):
         parse_config_text(f"steps = 4\n# {key} = 1\n{key} = 256\n")
 
 
-@pytest.mark.parametrize("key", ["mlp_mult", "lm_mlp_mult", "lm_seed", "lm_top_k", "embed_dim"])
+@pytest.mark.parametrize(
+    "key",
+    ["mlp_mult", "lm_mlp_mult", "lm_seed", "lm_top_k", "embed_dim", "temperature", "top_k"],
+)
 def test_lm_fields_outside_the_key_rule_are_rejected(key):
     with pytest.raises(UnknownConfigKey, match=f"line 1: unknown key '{key}'"):
         parse_config_text(f"{key} = 4\n")
@@ -102,18 +101,6 @@ def test_seed_sets_both_configs(tmp_path):
     p.write_text("seed = 17\n")
     codec, lm = load_pipeline_config(str(p))
     assert codec.seed == lm.seed == 17
-    # a command-line override wins over the file, for both configs
-    codec, lm = load_pipeline_config(str(p), {"seed": 5, "steps": None})
-    assert codec.seed == lm.seed == 5 and codec.steps == CodecConfig().steps
-
-
-@pytest.mark.parametrize("raw, expected", [("-1", None), ("0", None), ("0.5", 0.5)])
-def test_nonpositive_target_recon_disables_early_stopping(tmp_path, raw, expected):
-    p = tmp_path / "target.cfg"
-    p.write_text(f"target_recon = {raw}\n")
-    codec, _ = load_pipeline_config(str(p))
-    assert codec.target_recon == expected
-    assert CodecConfig(target_recon=-2.0).target_recon is None
 
 
 def one_error_line(capsys) -> str:
@@ -128,15 +115,15 @@ def test_a_bad_value_exits_1_with_one_line(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     assert cli.main(["gen-synth", "--n", "2", "--out", str(corpus)]) == 0
     p = tmp_path / "bad.cfg"
-    p.write_text("fixer = bogus\n")
+    p.write_text("kernel_size = 3\n")
     capsys.readouterr()
     assert cli.main(["train-vq", "--corpus", str(corpus), "--config", str(p),
                      "--out", str(tmp_path / "vq.ckpt")]) == 1
-    assert "fixer must be one of" in one_error_line(capsys)
+    assert "kernel_size must be even" in one_error_line(capsys)
     # train-lm builds the codec config too, so it rejects the same file
     assert cli.main(["train-lm", "--tokens", str(tmp_path), "--config", str(p),
                      "--out", str(tmp_path / "lm.ckpt")]) == 1
-    assert "fixer must be one of" in one_error_line(capsys)
+    assert "kernel_size must be even" in one_error_line(capsys)
     assert not (tmp_path / "vq.ckpt").exists() and not (tmp_path / "lm.ckpt").exists()
 
 

