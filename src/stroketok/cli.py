@@ -1,6 +1,9 @@
 """Command-line entry point: one binary, one subcommand per pipeline stage.
 
 Every subcommand runs in the calling process, one file after another.
+The argument parser depends only on the code, so it is built once per
+process and reused by every `main` call; each call still reads and checks
+its checkpoints afresh.
 Exit codes: 0 success, 1 domain error (message on stderr), 2 usage error.
 Training settings, the seed included, come from the --config file alone;
 decoding choices are flags of the commands that decode (--fixer, and
@@ -12,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import statistics
@@ -90,12 +94,14 @@ def _write_graphic(g, path: Path) -> None:
 
 
 def _write_decoded(g, report, path: Path) -> None:
-    """The graphic, and its fix report (when a fixer ran) beside it."""
+    """The graphic, and its fix report beside it when a fixer ran; with no
+    fixer, a report an earlier run left there is removed."""
     _write_graphic(g, path)
-    if report is not None:
-        path.with_suffix(path.suffix + ".fixreport.json").write_text(
-            json.dumps(dataclasses.asdict(report), sort_keys=True)
-        )
+    report_path = path.with_suffix(path.suffix + ".fixreport.json")
+    if report is None:
+        report_path.unlink(missing_ok=True)
+    else:
+        report_path.write_text(json.dumps(dataclasses.asdict(report), sort_keys=True))
 
 
 def _preprocess_one(path: Path, ns):
@@ -332,6 +338,7 @@ def cmd_render(ns) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stroketok",

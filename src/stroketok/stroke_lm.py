@@ -175,41 +175,44 @@ def build_prompt(keywords: list[str], vocab: Vocab) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def init_lm_params(vocab: Vocab, cfg: LmConfig) -> ParameterStore:
-    rng = np.random.default_rng(cfg.seed)
-    store = ParameterStore()
+def lm_layout(vocab: Vocab, cfg: LmConfig) -> list[te.Param]:
+    """The model's parameters in the order `init_lm_params` draws them."""
     d = cfg.embed_dim
+    layout = []
+
+    def normal(name, shape):
+        layout.append(te.Param(name, shape, 0.0, 0.02, False))
+
+    def const(name, shape, value):
+        layout.append(te.Param(name, shape, value, 0.0, False))
 
     # frozen stand-in for a pretrained prompt encoder
-    store.add(
-        "prompt_embed", rng.normal(0.0, 0.02, size=(vocab.keyword_vocab, d)), frozen=True
-    )
-    store.add("token_embed", rng.normal(0.0, 0.02, size=(vocab.total, d)))
-    store.add("pos_embed", rng.normal(0.0, 0.02, size=(cfg.max_len, d)))
-
-    def lin(shape):
-        return rng.normal(0.0, 0.02, size=shape)
-
+    layout.append(te.Param("prompt_embed", (vocab.keyword_vocab, d), 0.0, 0.02, True))
+    normal("token_embed", (vocab.total, d))
+    normal("pos_embed", (cfg.max_len, d))
     for layer in range(cfg.layers):
         p = f"layer{layer}"
-        store.add(f"{p}.ln1.g", np.ones(d))
-        store.add(f"{p}.ln1.b", np.zeros(d))
+        const(f"{p}.ln1.g", (d,), 1.0)
+        const(f"{p}.ln1.b", (d,), 0.0)
         for name in ("wq", "wk", "wv", "wo"):
-            store.add(f"{p}.attn.{name}", lin((d, d)))
-            store.add(f"{p}.attn.{name}b", np.zeros(d))
-        store.add(f"{p}.ln2.g", np.ones(d))
-        store.add(f"{p}.ln2.b", np.zeros(d))
-        store.add(f"{p}.mlp.w1", lin((d, MLP_MULT * d)))
-        store.add(f"{p}.mlp.b1", np.zeros(MLP_MULT * d))
-        store.add(f"{p}.mlp.w2", lin((MLP_MULT * d, d)))
-        store.add(f"{p}.mlp.b2", np.zeros(d))
-
-    store.add("ln_f.g", np.ones(d))
-    store.add("ln_f.b", np.zeros(d))
+            normal(f"{p}.attn.{name}", (d, d))
+            const(f"{p}.attn.{name}b", (d,), 0.0)
+        const(f"{p}.ln2.g", (d,), 1.0)
+        const(f"{p}.ln2.b", (d,), 0.0)
+        normal(f"{p}.mlp.w1", (d, MLP_MULT * d))
+        const(f"{p}.mlp.b1", (MLP_MULT * d,), 0.0)
+        normal(f"{p}.mlp.w2", (MLP_MULT * d, d))
+        const(f"{p}.mlp.b2", (d,), 0.0)
+    const("ln_f.g", (d,), 1.0)
+    const("ln_f.b", (d,), 0.0)
     # zero head: uniform predictions at init
-    store.add("head.w", np.zeros((d, vocab.total)))
-    store.add("head.b", np.zeros(vocab.total))
-    return store
+    const("head.w", (d, vocab.total), 0.0)
+    const("head.b", (vocab.total,), 0.0)
+    return layout
+
+
+def init_lm_params(vocab: Vocab, cfg: LmConfig) -> ParameterStore:
+    return te.init_params(lm_layout(vocab, cfg), np.random.default_rng(cfg.seed))
 
 
 def _trunk(
@@ -486,7 +489,6 @@ def load_lm_checkpoint(path: str) -> tuple[ParameterStore, Vocab, LmConfig]:
     named = te.load_named_tensors(path)
     cfg = te.read_record(LmConfig, named, "config", path)
     vocab = te.read_record(Vocab, named, "vocab", path)
-    store = init_lm_params(vocab, cfg)
     params = {k: v for k, v in named.items() if k not in ("config", "vocab")}
-    store.load_state_dict(params, path)
+    store = te.load_params(lm_layout(vocab, cfg), params, path)
     return store, vocab, cfg

@@ -5,7 +5,9 @@ runs: `add`, `mul`, `relu`, `stop_gradient`, `take_rows` and its adjoint
 `place_rows`, `conv1d` and `conv_transpose1d` (both with a bias),
 `linear`, `embedding` (row gather), causal multi-head `attention` (one op,
 tiled over query rows), `layer_norm`, weighted `mse_loss`, masked
-`cross_entropy`; then Adam (`optimizer_step`, in place), the minibatch
+`cross_entropy`; then the parameter store, which a model's layout (a list
+of `Param`) fills with drawn weights (`init_params`) or a checkpoint's
+arrays (`load_params`), Adam (`optimizer_step`, in place), the minibatch
 iterator both trainers share, and the STKT checkpoint container. Every
 recorded op stores a closure that scatters the incoming gradient to its
 parents; backward() walks the graph in reverse topological order, and a
@@ -54,6 +56,7 @@ import struct
 import zlib
 from contextlib import contextmanager
 from dataclasses import fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -653,14 +656,28 @@ def cross_entropy(logits: Tensor, targets, mask) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+class Param(NamedTuple):
+    """One parameter of a model's layout: its name and shape, whether it is
+    frozen, and its initial value, drawn from N(mean, std**2) when `std` is
+    positive and filled with `mean` (drawing nothing) when it is 0."""
+
+    name: str
+    shape: tuple[int, ...]
+    mean: float
+    std: float
+    frozen: bool
+
+
 class ParameterStore:
     """Named parameters plus Adam state. Frozen parameters never record
-    gradients and are skipped by the optimizer."""
+    gradients and are skipped by the optimizer. A parameter's Adam moments
+    are allocated at its first `optimizer_step`, so a store that is only
+    read (a loaded checkpoint) holds none."""
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        # name -> (first moment, second moment)
+        self._adam: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._t = 0
 
     def add(self, name: str, array, frozen: bool = False) -> Tensor:
@@ -668,9 +685,6 @@ class ParameterStore:
             raise ValueError(f"duplicate parameter {name!r}")
         t = Tensor(np.array(array, dtype=np.float64), requires_grad=not frozen)
         self._params[name] = t
-        if not frozen:
-            self._m[name] = np.zeros_like(t.data)
-            self._v[name] = np.zeros_like(t.data)
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -687,35 +701,53 @@ class ParameterStore:
 
     def reset_adam_rows(self, name: str, rows) -> None:
         """Clear first- and second-moment state for specific rows (used when
-        codebook entries are reseeded)."""
-        self._m[name][rows] = 0.0
-        self._v[name][rows] = 0.0
+        codebook entries are reseeded). Moments not yet allocated are zero
+        already."""
+        for moment in self._adam.get(name, ()):
+            moment[rows] = 0.0
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self._params.items()}
 
-    def load_state_dict(self, state: dict[str, np.ndarray], path: str) -> None:
-        """Set every parameter from `state`, the tensors of checkpoint
-        `path`. Names must match the store exactly and every entry must be
-        f8 of its parameter's shape: a missing parameter, an unknown tensor,
-        a wrong dtype or shape raises CorruptCheckpoint naming the path and
-        the key."""
-        for name, t in self._params.items():
-            if name not in state:
-                raise CorruptCheckpoint(f"{path}: checkpoint has no {name!r} entry")
-            arr = state[name]
-            if arr.dtype != np.float64 or arr.shape != t.data.shape:
-                raise CorruptCheckpoint(
-                    f"{path}: checkpoint entry {name!r} is {_TAGS[arr.dtype].decode()} "
-                    f"of shape {arr.shape}, expected f8 of shape {t.data.shape}"
-                )
-        for name in state:
-            if name not in self._params:
-                raise CorruptCheckpoint(
-                    f"{path}: checkpoint has an unknown entry {name!r}"
-                )
-        for name, t in self._params.items():
-            t.data = state[name].copy()
+
+def init_params(layout: list[Param], rng: np.random.Generator) -> ParameterStore:
+    """A store of `layout`'s parameters at their initial values, drawn from
+    `rng` in layout order."""
+    store = ParameterStore()
+    for p in layout:
+        if p.std > 0:
+            value = rng.normal(p.mean, p.std, size=p.shape)
+        else:
+            value = np.full(p.shape, p.mean)
+        store.add(p.name, value, frozen=p.frozen)
+    return store
+
+
+def load_params(
+    layout: list[Param], state: dict[str, np.ndarray], path: str
+) -> ParameterStore:
+    """A store of `layout`'s parameters holding copies of `state`, the
+    tensors of checkpoint `path`. Names must match the layout exactly and
+    every entry must be f8 of its parameter's shape: a missing parameter,
+    an unknown tensor, a wrong dtype or shape raises CorruptCheckpoint
+    naming the path and the key."""
+    for p in layout:
+        if p.name not in state:
+            raise CorruptCheckpoint(f"{path}: checkpoint has no {p.name!r} entry")
+        arr = state[p.name]
+        if arr.dtype != np.float64 or arr.shape != p.shape:
+            raise CorruptCheckpoint(
+                f"{path}: checkpoint entry {p.name!r} is {_TAGS[arr.dtype].decode()} "
+                f"of shape {arr.shape}, expected f8 of shape {p.shape}"
+            )
+    names = {p.name for p in layout}
+    for name in state:
+        if name not in names:
+            raise CorruptCheckpoint(f"{path}: checkpoint has an unknown entry {name!r}")
+    store = ParameterStore()
+    for p in layout:
+        store.add(p.name, state[p.name], frozen=p.frozen)
+    return store
 
 
 # Adam's moment decays and denominator offset (Kingma & Ba's defaults)
@@ -737,8 +769,9 @@ def optimizer_step(store: ParameterStore, lr: float) -> None:
         if p.grad is None:
             continue
         g = p.grad
-        m = store._m[name]
-        v = store._v[name]
+        if name not in store._adam:
+            store._adam[name] = (np.zeros_like(p.data), np.zeros_like(p.data))
+        m, v = store._adam[name]
         # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), operation by operation
         # in two scratch buffers; p.data is updated in place (no caller
         # keeps an array of an earlier step)

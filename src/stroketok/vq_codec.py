@@ -175,26 +175,34 @@ class StrokeTokenSeq:
 # ---------------------------------------------------------------------------
 
 
-def init_codec_params(cfg: CodecConfig, rng: np.random.Generator) -> ParameterStore:
-    store = ParameterStore()
+def codec_layout(cfg: CodecConfig) -> list[te.Param]:
+    """The codec's parameters in the order `init_codec_params` draws them:
+    He-normal conv kernels, zero biases and zero codebooks (k-means fills
+    the codebooks before training)."""
     k = cfg.kernel_size
     ch = cfg.channels
+    layout = []
 
-    def conv_w(c_out, c_in, ksize):
-        std = np.sqrt(2.0 / (c_in * ksize))
-        return rng.normal(0.0, std, size=(c_out, c_in, ksize))
+    def normal(name, shape, std):
+        layout.append(te.Param(name, shape, 0.0, std, False))
+
+    def conv_w(name, c_out, c_in, ksize):
+        normal(name, (c_out, c_in, ksize), np.sqrt(2.0 / (c_in * ksize)))
+
+    def zeros(name, shape):
+        layout.append(te.Param(name, shape, 0.0, 0.0, False))
 
     in_ch = 9
     for i, c in enumerate(ch):
         out_ch = cfg.code_dim if i == len(ch) - 1 else c
-        store.add(f"enc{i}.down.w", conv_w(c, in_ch, k))
-        store.add(f"enc{i}.down.b", np.zeros(c))
-        store.add(f"enc{i}.res.w1", conv_w(c, c, 3))
-        store.add(f"enc{i}.res.b1", np.zeros(c))
-        store.add(f"enc{i}.res.w2", conv_w(c, c, 1))
-        store.add(f"enc{i}.res.b2", np.zeros(c))
-        store.add(f"enc{i}.proj.w", conv_w(out_ch, c, 1))
-        store.add(f"enc{i}.proj.b", np.zeros(out_ch))
+        conv_w(f"enc{i}.down.w", c, in_ch, k)
+        zeros(f"enc{i}.down.b", (c,))
+        conv_w(f"enc{i}.res.w1", c, c, 3)
+        zeros(f"enc{i}.res.b1", (c,))
+        conv_w(f"enc{i}.res.w2", c, c, 1)
+        zeros(f"enc{i}.res.b2", (c,))
+        conv_w(f"enc{i}.proj.w", out_ch, c, 1)
+        zeros(f"enc{i}.proj.b", (out_ch,))
         in_ch = out_ch
 
     rev = list(reversed(ch))
@@ -203,21 +211,23 @@ def init_codec_params(cfg: CodecConfig, rng: np.random.Generator) -> ParameterSt
         last = j == len(rev) - 1
         out_ch = 9 if last else c
         # transpose kernels are (C_in, C_out, K)
-        std = np.sqrt(2.0 / (in_ch * k))
-        store.add(f"dec{j}.up.w", rng.normal(0.0, std, size=(in_ch, c, k)))
-        store.add(f"dec{j}.up.b", np.zeros(c))
-        store.add(f"dec{j}.res.w1", conv_w(c, c, 3))
-        store.add(f"dec{j}.res.b1", np.zeros(c))
-        store.add(f"dec{j}.res.w2", conv_w(c, c, 1))
-        store.add(f"dec{j}.res.b2", np.zeros(c))
-        proj_std = 0.01 if last else np.sqrt(2.0 / c)
-        store.add(f"dec{j}.proj.w", rng.normal(0.0, proj_std, size=(out_ch, c, 1)))
-        store.add(f"dec{j}.proj.b", np.zeros(out_ch))
+        normal(f"dec{j}.up.w", (in_ch, c, k), np.sqrt(2.0 / (in_ch * k)))
+        zeros(f"dec{j}.up.b", (c,))
+        conv_w(f"dec{j}.res.w1", c, c, 3)
+        zeros(f"dec{j}.res.b1", (c,))
+        conv_w(f"dec{j}.res.w2", c, c, 1)
+        zeros(f"dec{j}.res.b2", (c,))
+        normal(f"dec{j}.proj.w", (out_ch, c, 1), 0.01 if last else np.sqrt(2.0 / c))
+        zeros(f"dec{j}.proj.b", (out_ch,))
         in_ch = c
 
     for level in range(cfg.rvq_depth):
-        store.add(f"codebook.level{level}", np.zeros((cfg.codebook_size, cfg.code_dim)))
-    return store
+        zeros(f"codebook.level{level}", (cfg.codebook_size, cfg.code_dim))
+    return layout
+
+
+def init_codec_params(cfg: CodecConfig, rng: np.random.Generator) -> ParameterStore:
+    return te.init_params(codec_layout(cfg), rng)
 
 
 def make_codebook(cfg: CodecConfig, store: ParameterStore) -> Codebook:
@@ -898,8 +908,8 @@ def load_vq_checkpoint(path: str) -> tuple[ParameterStore, Codebook, CodecConfig
             f"{path}: checkpoint entry 'codebook.usage' must hold {shape} non-negative "
             f"i8 counts (found {usage.dtype}, shape {usage.shape})"
         )
-    store = init_codec_params(cfg, np.random.default_rng(cfg.seed))
-    store.load_state_dict({k: v for k, v in named.items() if k != "config"}, path)
+    params = {k: v for k, v in named.items() if k != "config"}
+    store = te.load_params(codec_layout(cfg), params, path)
     codebook = make_codebook(cfg, store)
     codebook.usage = list(usage.copy())
     return store, codebook, cfg

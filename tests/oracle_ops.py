@@ -3,7 +3,7 @@ per-sample codec oracle (`sub` for its straight-through estimator), the
 per-sample LM oracle (`concat` of prompt and token rows) and the
 finite-difference checks build on them. They record through the engine's
 own `_make`/`_accum`/`_unbroadcast`, so they join any graph the program's
-ops build."""
+ops build. `EagerAdam` is the optimizer's oracle."""
 
 from __future__ import annotations
 
@@ -105,3 +105,27 @@ def concat(xs: list[Tensor], axis: int = 0) -> Tensor:
             off += s
 
     return _make(out_data, tuple(xs), bw)
+
+
+class EagerAdam:
+    """Adam as Kingma & Ba write it (beta1 0.9, beta2 0.999, eps 1e-8), with
+    both moments of every parameter allocated up front: the oracle of
+    `optimizer_step`, which allocates them at a parameter's first step.
+    A step updates only the parameters it is given gradients for; its bias
+    correction counts every step taken."""
+
+    def __init__(self, params: dict[str, np.ndarray]):
+        self.params = {n: np.array(a, dtype=np.float64) for n, a in params.items()}
+        self.m = {n: np.zeros_like(a) for n, a in self.params.items()}
+        self.v = {n: np.zeros_like(a) for n, a in self.params.items()}
+        self.t = 0
+
+    def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
+        self.t += 1
+        bc1 = 1.0 - 0.9**self.t
+        bc2 = 1.0 - 0.999**self.t
+        for n, g in grads.items():
+            self.m[n] = 0.9 * self.m[n] + (1.0 - 0.9) * g
+            self.v[n] = 0.999 * self.v[n] + (1.0 - 0.999) * (g * g)
+            update = lr * (self.m[n] / bc1) / (np.sqrt(self.v[n] / bc2) + 1e-8)
+            self.params[n] = self.params[n] - update

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stroketok import cli
+from stroketok import tensor_engine as te
 from stroketok.stroke_lm import generate, load_lm_checkpoint
 from stroketok.tensor_engine import (
     CorruptCheckpoint,
@@ -129,6 +131,103 @@ def test_evaluate_loads_checkpoint_once(pipeline, monkeypatch):
                      str(d / "rec"), "--ckpt", str(d / "vq.ckpt"),
                      "--report", str(d / "r1.json")]) == 0
     assert loads == [str(d / "vq.ckpt")]
+
+
+def test_loaders_build_stores_from_the_file_without_drawing(pipeline, monkeypatch):
+    """A loaded store holds copies of the file's arrays and nothing drawn:
+    with every rng constructor and `init_params` made to raise (numpy's
+    Generator type is immutable, so its `normal` cannot be patched), both
+    loaders still succeed. The stores hold no Adam moments, `prompt_embed`
+    stays frozen, and every parameter is a writable array of its own."""
+    d = pipeline
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a loader drew initial weights")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    monkeypatch.setattr(te, "init_params", no_draws)
+    vq_store = load_vq_checkpoint(str(d / "vq.ckpt"))[0]
+    lm_store = load_lm_checkpoint(str(d / "lm.ckpt"))[0]
+    monkeypatch.undo()
+
+    assert not lm_store["prompt_embed"].requires_grad
+    assert "prompt_embed" not in dict(lm_store.trainable())
+    for name, store, records in (("vq.ckpt", vq_store, {"config", "codebook.usage"}),
+                                 ("lm.ckpt", lm_store, {"config", "vocab"})):
+        assert store._adam == {}
+        named = load_named_tensors(str(d / name))
+        params = {k: v for k, v in named.items() if k not in records}
+        assert sorted(store._params) == sorted(params)
+        for key, arr in params.items():
+            data = store[key].data
+            assert data.dtype == arr.dtype and data.shape == arr.shape
+            assert data.tobytes() == arr.tobytes(), key
+            assert data.flags.writeable and data.flags.owndata, key
+        assert sorted(name for name, _ in store.trainable()) == sorted(
+            set(params) - {"prompt_embed"})
+
+
+def test_decoding_without_a_fixer_removes_a_stale_fix_report(pipeline, tmp_path):
+    d = pipeline
+    tok = sorted((d / "tok").glob("*.tok"))[0]
+    for argv in (
+        ["detokenize", "--ckpt", str(d / "vq.ckpt"), "--in", str(tok)],
+        ["generate", "--lm", str(d / "lm.ckpt"), "--vq", str(d / "vq.ckpt"),
+         "--keywords", "circle"],
+    ):
+        out = tmp_path / f"{argv[0]}.json"
+        report = tmp_path / f"{argv[0]}.json.fixreport.json"
+        assert cli.main(argv + ["--out", str(out), "--fixer", "pc"]) == 0
+        assert report.exists()
+        assert cli.main(argv + ["--out", str(out), "--fixer", "none"]) == 0
+        assert out.exists() and not report.exists()
+        # with no report to remove, decoding without a fixer still succeeds
+        assert cli.main(argv + ["--out", str(out), "--fixer", "none"]) == 0
+
+
+def test_flags_do_not_leak_between_main_calls(pipeline, tmp_path):
+    d = pipeline
+    base = ["generate", "--lm", str(d / "lm.ckpt"), "--vq", str(d / "vq.ckpt"),
+            "--keywords", "circle"]
+
+    def run(name, *flags):
+        out, tok = tmp_path / f"{name}.json", tmp_path / f"{name}.tok"
+        assert cli.main(base + ["--out", str(out), "--tokens-out", str(tok), *flags]) == 0
+        return out.read_bytes() + tok.read_bytes()
+
+    first = run("first")
+    run("flagged", "--top-k", "5", "--temperature", "0.7", "--seed", "3", "--fixer", "pi")
+    assert run("after") == first
+
+
+def test_version_and_usage_errors_after_an_earlier_call(pipeline, capsys, tmp_path):
+    assert cli.main(["gen-synth", "--n", "1", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["--version"]) == 0
+    assert capsys.readouterr().out.startswith("stroketok ")
+    assert cli.main(["generate", "--lm", "x.ckpt"]) == 2
+    assert "usage: stroketok generate" in capsys.readouterr().err
+    assert cli.main(["gen-synth", "--n", "1", "--out", str(tmp_path)]) == 0
+
+
+def test_build_parser_builds_the_parser_once(monkeypatch, tmp_path):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert cli.main(["gen-synth", "--n", "1", "--out", str(tmp_path)]) == 0
+        assert cli.main(["--version"]) == 0
+        assert built.count("stroketok") == 1
+        assert cli.build_parser() is cli.build_parser()
+    finally:
+        cli.build_parser.cache_clear()
 
 
 def test_evaluate_bad_checkpoint_exits_1(pipeline, capsys):

@@ -36,6 +36,7 @@ from stroketok.tensor_engine import (
 )
 
 from oracle_ops import (
+    EagerAdam,
     concat,
     matmul,
     mean_all,
@@ -516,6 +517,60 @@ def test_step_before_backward():
     store.add("w", np.array(1.0))
     with pytest.raises(NoGradient):
         optimizer_step(store, lr=0.1)
+
+
+def test_adam_moments_are_allocated_at_first_step_and_match_eager_adam():
+    """Moments allocated at a parameter's first step give bit-identical
+    parameters to Adam with every moment allocated up front. `late` gets
+    its first gradient at step 3: it starts from zero moments, with bias
+    correction from the store's step count; frozen `f` gets no moments."""
+    rng = np.random.default_rng(5)
+    init = {"a": rng.standard_normal((3, 4)), "late": rng.standard_normal(5)}
+    store = ParameterStore()
+    for name, value in init.items():
+        store.add(name, value)
+    store.add("f", np.ones(2), frozen=True)
+    assert store._adam == {}
+    oracle = EagerAdam(init)
+    for step in range(1, 7):
+        grads = {"a": rng.standard_normal((3, 4))}
+        if step >= 3:
+            grads["late"] = rng.standard_normal(5)
+        for name, g in grads.items():
+            store[name].grad = g.copy()
+        optimizer_step(store, lr=0.05)
+        oracle.step(grads, lr=0.05)
+        assert sorted(store._adam) == sorted(grads)
+        for name in init:
+            assert store[name].data.tobytes() == oracle.params[name].tobytes(), (step, name)
+    assert store._t == oracle.t == 6
+
+
+def test_reset_adam_rows_before_the_first_step_is_a_no_op():
+    store = ParameterStore()
+    w = store.add("w", np.arange(6.0).reshape(3, 2))
+    store.reset_adam_rows("w", np.array([0, 2]))
+    assert store._adam == {}
+    oracle = EagerAdam({"w": np.arange(6.0).reshape(3, 2)})
+    g = np.full((3, 2), 0.5)
+    w.grad = g.copy()
+    optimizer_step(store, lr=0.1)
+    oracle.step({"w": g}, lr=0.1)
+    assert w.data.tobytes() == oracle.params["w"].tobytes()
+
+
+def test_reset_adam_rows_after_a_step_zeroes_only_those_rows():
+    rng = np.random.default_rng(8)
+    store = ParameterStore()
+    w = store.add("w", rng.standard_normal((4, 3)))
+    w.grad = rng.standard_normal((4, 3))
+    optimizer_step(store, lr=0.1)
+    before = [moment.copy() for moment in store._adam["w"]]
+    store.reset_adam_rows("w", np.array([0, 2]))
+    for moment, old in zip(store._adam["w"], before):
+        assert not moment[[0, 2]].any()
+        assert moment[[1, 3]].tobytes() == old[[1, 3]].tobytes()
+        assert old[[0, 2]].all()
 
 
 def test_training_determinism():
