@@ -18,10 +18,10 @@ from .svg_io import (  # noqa: F401
     simplify,
 )
 from .matrix_codec import StrokeMatrix, from_matrix, scale, to_matrix  # noqa: F401
+from .artifacts import StrokeTokenSeq  # noqa: F401
 from .vq_codec import (  # noqa: F401
     CodecConfig,
     Codebook,
-    StrokeTokenSeq,
     detokenize,
     quantize_residual,
     tokenize,

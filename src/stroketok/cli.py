@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, artifacts
 from .config import load_pipeline_config
 from .errors import StroketokError
 from .matrix_codec import TO_UNIT, scale, to_matrix
@@ -54,15 +54,10 @@ from .svg_io import (
     preprocess,
     simplify,
 )
-from .tensor_engine import CHECKPOINT_FORMAT_VERSION
 from .vq_codec import (
     FIXERS,
-    TOKEN_FORMAT_VERSION,
-    check_layout,
     detokenize,
-    load_tokens,
     load_vq_checkpoint,
-    save_tokens,
     save_vq_checkpoint,
     tokenize,
     train as train_vq,
@@ -72,12 +67,8 @@ log = logging.getLogger("stroketok")
 
 REPORT_FORMAT_VERSION = "report v1"
 
-_FORMAT_VERSIONS = (
-    GRAPHIC_FORMAT_VERSION,
-    CHECKPOINT_FORMAT_VERSION,
-    TOKEN_FORMAT_VERSION,
-    REPORT_FORMAT_VERSION,
-)
+_FORMAT_VERSIONS = "; ".join((GRAPHIC_FORMAT_VERSION, artifacts.CHECKPOINT_FORMAT_VERSION,
+                              artifacts.TOKEN_FORMAT_VERSION, REPORT_FORMAT_VERSION))
 
 
 def _load_graphic_file(path: Path):
@@ -190,19 +181,19 @@ def cmd_tokenize(ns) -> int:
             raise StroketokError(f"no .json graphics in {src}")
         for p in files:
             seq = tokenize(load_graphic(p.read_text()), store, codebook, cfg)
-            save_tokens(seq, str(dst / f"{p.stem}.tok"))
+            artifacts.save_tokens(seq, str(dst / f"{p.stem}.tok"))
         print(f"tokenized {len(files)} graphics into {dst}")
     else:
         seq = tokenize(_load_graphic_file(src), store, codebook, cfg)
-        save_tokens(seq, str(dst))
+        artifacts.save_tokens(seq, str(dst))
         print(f"wrote {len(seq.tokens)} tokens to {dst}")
     return 0
 
 
 def cmd_detokenize(ns) -> int:
     store, codebook, cfg = load_vq_checkpoint(ns.ckpt)
-    seq = load_tokens(ns.in_path)
-    check_layout(ns.in_path, seq.layout, ns.ckpt, cfg.layout)
+    seq = artifacts.load_tokens(ns.in_path)
+    artifacts.check_layout(ns.in_path, seq.layout, ns.ckpt, cfg.layout)
     if ns.meta:
         meta_g = _load_graphic_file(Path(ns.meta))
         seq.meta["viewbox"] = list(meta_g.viewbox)
@@ -233,9 +224,9 @@ def cmd_train_lm(ns) -> int:
         if not g.keywords:
             log.warning("empty keywords for %s; skipped", p.stem)
             continue
-        seq = load_tokens(str(p))
+        seq = artifacts.load_tokens(str(p))
         first = first or (str(p), seq.layout)
-        check_layout(str(p), seq.layout, *first)
+        artifacts.check_layout(str(p), seq.layout, *first)
         pairs.append((list(g.keywords), seq))
     if not pairs:
         raise StroketokError("no usable (keywords, tokens) pairs")
@@ -253,7 +244,7 @@ def cmd_train_lm(ns) -> int:
 def cmd_generate(ns) -> int:
     lm_store, vocab, lm_cfg = load_lm_checkpoint(ns.lm)
     vq_store, codebook, vq_cfg = load_vq_checkpoint(ns.vq)
-    check_layout(ns.lm, vocab.layout, ns.vq, vq_cfg.layout)
+    artifacts.check_layout(ns.lm, vocab.layout, ns.vq, vq_cfg.layout)
     keywords = ns.keywords.split()
     seq = lm_generate(keywords, lm_store, vocab, lm_cfg, ns.temperature, ns.top_k, ns.seed)
     if not seq.tokens:
@@ -262,7 +253,7 @@ def cmd_generate(ns) -> int:
     out = Path(ns.out)
     _write_decoded(g, report, out)
     if ns.tokens_out:
-        save_tokens(seq, ns.tokens_out)
+        artifacts.save_tokens(seq, ns.tokens_out)
     stop = "stopped at length cap" if seq.meta["truncated"] else "stopped at EOS"
     print(
         f"generated {len(seq.tokens)} tokens (raw {seq.meta['raw_len']}, {stop}) "
@@ -348,10 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version",
         action="version",
-        version="stroketok "
-        + __version__
-        + "; formats: "
-        + "; ".join(_FORMAT_VERSIONS),
+        version=f"stroketok {__version__}; formats: {_FORMAT_VERSIONS}",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

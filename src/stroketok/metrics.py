@@ -20,10 +20,10 @@ from collections import Counter
 
 import numpy as np
 
+from .artifacts import StrokeTokenSeq, check_layout
 from .errors import StroketokError
 from .model import Graphic
 from .render import rasterize
-from .vq_codec import StrokeTokenSeq, check_layout
 
 EDIT_BINS = 256
 

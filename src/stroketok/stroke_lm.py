@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor_engine as te
+from .artifacts import StrokeTokenSeq, read_checkpoint, save_checkpoint
 from .errors import StroketokError
 from .tensor_engine import (
     ParameterStore,
@@ -55,7 +56,7 @@ from .tensor_engine import (
     relu,
     take_rows,
 )
-from .vq_codec import Diverged, StrokeTokenSeq
+from .vq_codec import Diverged
 
 PROMPT_TEMPLATE = "Generating SVG according to keywords:"
 UNK_WORD = "<unk>"
@@ -473,22 +474,14 @@ def generate(
     )
 
 
-# ---------------------------------------------------------------------------
-# Checkpoints
-# ---------------------------------------------------------------------------
-
-
 def save_lm_checkpoint(
     path: str, store: ParameterStore, vocab: Vocab, cfg: LmConfig
 ) -> None:
-    records = {"config": te.config_record(cfg), "vocab": te.config_record(vocab)}
-    te.save_named_tensors(path, {**store.state_dict(), **records})
+    save_checkpoint(path, store, {"config": cfg, "vocab": vocab}, {})
 
 
 def load_lm_checkpoint(path: str) -> tuple[ParameterStore, Vocab, LmConfig]:
-    named = te.load_named_tensors(path)
-    cfg = te.read_record(LmConfig, named, "config", path)
-    vocab = te.read_record(Vocab, named, "vocab", path)
-    params = {k: v for k, v in named.items() if k not in ("config", "vocab")}
-    store = te.load_params(lm_layout(vocab, cfg), params, path)
+    store, (cfg, vocab), _ = read_checkpoint(
+        path, {"config": LmConfig, "vocab": Vocab}, lambda c, v: lm_layout(v, c), ()
+    )
     return store, vocab, cfg

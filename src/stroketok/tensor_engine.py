@@ -7,14 +7,14 @@ runs: `add`, `mul`, `relu`, `stop_gradient`, `take_rows` and its adjoint
 tiled over query rows), `layer_norm`, weighted `mse_loss`, masked
 `cross_entropy`; then the parameter store, which a model's layout (a list
 of `Param`) fills with drawn weights (`init_params`) or a checkpoint's
-arrays (`load_params`), Adam (`optimizer_step`, in place), the minibatch
-iterator both trainers share, and the STKT checkpoint container. Every
-recorded op stores a closure that scatters the incoming gradient to its
-parents; backward() walks the graph in reverse topological order, and a
-parent that records no gradient gets none computed. No op reshapes or
-concatenates: the program addresses rows by index instead. Ops that only
-tests build oracles from (sub, matmul, transpose2d, softmax, narrow,
-concat, sum_all, mean_all) live in `tests/oracle_ops.py`.
+arrays (`artifacts.read_checkpoint`), Adam (`optimizer_step`, in place),
+and the minibatch iterator both trainers share. Every recorded op stores
+a closure that scatters the incoming gradient to its parents; backward()
+walks the graph in reverse topological order, and a parent that records
+no gradient gets none computed. No op reshapes or concatenates: the
+program addresses rows by index instead. Ops that only tests build
+oracles from (sub, matmul, transpose2d, softmax, narrow, concat, sum_all,
+mean_all) live in `tests/oracle_ops.py`.
 
 Rows are time-major throughout. The sequence-model ops take leading axes:
 `linear`, `layer_norm`, `relu` and `add` act on (..., D) rows however many
@@ -36,38 +36,16 @@ repeat, `embedding`'s backward, uses np.add.at, which adds in index order.
 Every other backward writes each gradient entry from one place, by slicing
 or by assignment (`_col2im` adds one strided slice per tap; `attention`
 adds its key and value gradients tile by tile, in tile order).
-
-Checkpoints (`checkpoint STKT v2`) hold named, typed entries, integers
-little-endian: magic b"STK2" (v1 began b"STKT"), a u32 entry count, then
-per entry in sorted name order
-    u16 name length, UTF-8 name, 2-byte dtype tag (f8 float64, i8 int64,
-    u8 byte), u8 ndim, ndim u32 dims, the data in C order;
-last a u32 trailer, zlib.crc32 of every byte before it. Parameters are f8,
-codebook usage counts i8, and a config one u8 entry: the JSON object of
-its dataclass's init fields (`config_record`, read back by `read_record`).
 """
 
 from __future__ import annotations
 
-import json
-import math
-import os
-import struct
-import zlib
 from contextlib import contextmanager
-from dataclasses import fields
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import StroketokError
-
-CHECKPOINT_MAGIC = b"STK2"
-CHECKPOINT_FORMAT_VERSION = "checkpoint STKT v2"
-# dtype tag of an entry -> its element type
-_DTYPES = {b"f8": np.dtype("<f8"), b"i8": np.dtype("<i8"), b"u8": np.dtype("u1")}
-_TAGS = {dtype: tag for tag, dtype in _DTYPES.items()}
-
 
 # score of a masked attention key: far below any real score, so exp() of
 # it after max-subtraction is exactly 0
@@ -86,12 +64,6 @@ class GraphCycle(StroketokError):
 
 class NoGradient(StroketokError):
     pass
-
-
-class CorruptCheckpoint(StroketokError):
-    """A file that is not a well-formed STKT v2 container (wrong magic, a
-    CRC-32 mismatch, entries that overrun or stop short of the trailer), or
-    whose entries do not make up the checkpoint read from it."""
 
 
 _grad_enabled = True
@@ -652,7 +624,7 @@ def cross_entropy(logits: Tensor, targets, mask) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Parameters, Adam, checkpoints
+# Parameters, Adam, minibatches
 # ---------------------------------------------------------------------------
 
 
@@ -723,33 +695,6 @@ def init_params(layout: list[Param], rng: np.random.Generator) -> ParameterStore
     return store
 
 
-def load_params(
-    layout: list[Param], state: dict[str, np.ndarray], path: str
-) -> ParameterStore:
-    """A store of `layout`'s parameters holding copies of `state`, the
-    tensors of checkpoint `path`. Names must match the layout exactly and
-    every entry must be f8 of its parameter's shape: a missing parameter,
-    an unknown tensor, a wrong dtype or shape raises CorruptCheckpoint
-    naming the path and the key."""
-    for p in layout:
-        if p.name not in state:
-            raise CorruptCheckpoint(f"{path}: checkpoint has no {p.name!r} entry")
-        arr = state[p.name]
-        if arr.dtype != np.float64 or arr.shape != p.shape:
-            raise CorruptCheckpoint(
-                f"{path}: checkpoint entry {p.name!r} is {_TAGS[arr.dtype].decode()} "
-                f"of shape {arr.shape}, expected f8 of shape {p.shape}"
-            )
-    names = {p.name for p in layout}
-    for name in state:
-        if name not in names:
-            raise CorruptCheckpoint(f"{path}: checkpoint has an unknown entry {name!r}")
-    store = ParameterStore()
-    for p in layout:
-        store.add(p.name, state[p.name], frozen=p.frozen)
-    return store
-
-
 # Adam's moment decays and denominator offset (Kingma & Ba's defaults)
 _BETA1 = 0.9
 _BETA2 = 0.999
@@ -815,135 +760,3 @@ def minibatches(
             before_epoch()
         order = None
 
-
-def save_named_tensors(path: str, named: dict[str, np.ndarray]) -> None:
-    """Write `named` as a checkpoint (the layout is in the module docstring)
-    through a temporary file beside `path` that replaces it only once
-    complete, so a failed write leaves the previous file or none."""
-    parts = [CHECKPOINT_MAGIC, struct.pack("<I", len(named))]
-    for name in sorted(named):
-        # np.asarray (not ascontiguousarray) keeps 0-d shapes intact;
-        # tobytes() copies to C order regardless.
-        arr = np.asarray(named[name])
-        encoded = name.encode("utf-8")
-        parts += [struct.pack("<H", len(encoded)), encoded, _TAGS[arr.dtype],
-                  struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape), arr.tobytes()]
-    blob = b"".join(parts)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(blob)
-            f.write(struct.pack("<I", zlib.crc32(blob)))
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
-def load_named_tensors(path: str) -> dict[str, np.ndarray]:
-    """Read a container written by `save_named_tensors`. The CRC-32 must
-    match, every read is bounds-checked and the entries must end exactly at
-    the trailer."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] == b"STKT":
-        raise StroketokError(
-            f"{path}: checkpoint STKT v1 is a retired format (retrain to write v2)"
-        )
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise CorruptCheckpoint(f"{path}: not a checkpoint file (bad magic)")
-    end = len(blob) - 4
-    if end < 8 or zlib.crc32(blob[:end]) != struct.unpack("<I", blob[end:])[0]:
-        raise CorruptCheckpoint(
-            f"{path}: checkpoint is truncated or corrupt (CRC-32 mismatch)"
-        )
-    pos = 4
-
-    def take(n: int) -> bytes:
-        nonlocal pos
-        if n > end - pos:
-            raise CorruptCheckpoint(
-                f"{path}: checkpoint is truncated or corrupt "
-                f"(needs {n} bytes at offset {pos}, entries end at {end})"
-            )
-        pos += n
-        return blob[pos - n : pos]
-
-    (count,) = struct.unpack("<I", take(4))
-    out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack("<H", take(2))
-        try:
-            name = take(nlen).decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise CorruptCheckpoint(
-                f"{path}: checkpoint is corrupt (tensor name at offset "
-                f"{pos - nlen} is not UTF-8)"
-            ) from e
-        tag = take(2)
-        if tag not in _DTYPES:
-            raise CorruptCheckpoint(
-                f"{path}: checkpoint entry {name!r} has an unknown dtype tag {tag!r}"
-            )
-        ndim = take(1)[0]
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        # math.prod on Python ints: a corrupt shape cannot overflow the size
-        data = take(_DTYPES[tag].itemsize * math.prod(shape))
-        out[name] = np.frombuffer(data, dtype=_DTYPES[tag]).reshape(shape)
-    if pos != end:
-        raise CorruptCheckpoint(
-            f"{path}: checkpoint is corrupt ({end - pos} bytes after "
-            f"its {count} entries)"
-        )
-    return out
-
-
-def config_record(obj) -> np.ndarray:
-    """The init fields of the dataclass `obj` as one `u8` entry: a JSON
-    object with sorted keys."""
-    values = {f.name: getattr(obj, f.name) for f in fields(obj) if f.init}
-    return np.frombuffer(json.dumps(values, sort_keys=True).encode("utf-8"), np.uint8)
-
-
-# the JSON values a config field takes, keyed by its annotation (every
-# config module postpones annotations, so they are strings); bools are not
-# ints here, and an int is a float as in Python
-_RECORD_TYPES = {
-    "int": lambda v: type(v) is int,
-    "float": lambda v: type(v) in (int, float),
-    "tuple[int, ...]": lambda v: type(v) is list and all(type(c) is int for c in v),
-    "list[str]": lambda v: type(v) is list and all(type(w) is str for w in v),
-}
-
-
-def read_record(cls, named: dict[str, np.ndarray], key: str, path: str):
-    """The dataclass `cls` from its `config_record` entry `key`. A missing
-    or non-JSON record, a missing, unknown or wrongly typed field and a
-    value `cls` rejects raise CorruptCheckpoint naming path, record, field."""
-    arr = named.get(key)
-    if arr is None:
-        raise CorruptCheckpoint(f"{path}: checkpoint has no {key!r} entry")
-    where = f"{path}: checkpoint record {key!r}"
-    if arr.dtype != np.uint8 or arr.ndim != 1:
-        raise CorruptCheckpoint(f"{where} is {arr.ndim}-d {arr.dtype}, not u8 bytes")
-    try:
-        values = json.loads(arr.tobytes())
-    except ValueError as e:
-        raise CorruptCheckpoint(f"{where} is not JSON ({e})") from None
-    if type(values) is not dict:
-        raise CorruptCheckpoint(f"{where} is not a JSON object")
-    expected = {f.name: f.type for f in fields(cls) if f.init}
-    for name in sorted(expected.keys() | values.keys()):
-        if name not in values:
-            raise CorruptCheckpoint(f"{where} has no field {name!r}")
-        if name not in expected:
-            raise CorruptCheckpoint(f"{where} has an unknown field {name!r}")
-        if not _RECORD_TYPES[expected[name]](values[name]):
-            shown = json.dumps(values[name])
-            raise CorruptCheckpoint(
-                f"{where} field {name!r} must be {expected[name]}, not {shown[:40]}"
-            )
-    try:
-        return cls(**values)
-    except ValueError as e:
-        raise CorruptCheckpoint(f"{where}: {e}") from None

@@ -9,10 +9,7 @@ entry, flattened timestep-major. The decoder mirrors the encoder with
 transposed convolutions and clamps its output to [-1, 1].
 
 A token id means something only under its layout (d, B, stages): depth d,
-|B| entries a level, a latent downsampled by 2**stages. Every
-`StrokeTokenSeq` carries its layout (from the codec config, the token file
-header or the LM vocabulary), `save_tokens` writes it as the header, and
-`check_layout` is the one comparison of two layouts.
+|B| entries a level, a latent downsampled by 2**stages.
 
 Every array is time-major: a matrix is (L, 9) rows and a latent (T, Dim)
 rows. Several samples run through the convolutions as one `Packing`: their
@@ -31,11 +28,12 @@ reseeded from recent latents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor_engine as te
+from .artifacts import CorruptCheckpoint, StrokeTokenSeq, read_checkpoint, save_checkpoint
 from .errors import StroketokError
 from .fixer import FixReport, fix_pc, fix_pi
 from .matrix_codec import FROM_UNIT, TO_UNIT, StrokeMatrix, from_matrix, scale, to_matrix
@@ -58,7 +56,6 @@ from .tensor_engine import (
     take_rows,
 )
 
-TOKEN_FORMAT_VERSION = "tokens v1"
 DEFAULT_VIEWBOX = (0.0, 0.0, 256.0, 256.0)
 
 # decoding's fixers: path clipping, path interpolation, none (the default first)
@@ -75,14 +72,6 @@ class Diverged(StroketokError):
 
 class BadTokenId(StroketokError):
     pass
-
-
-class MalformedTokens(StroketokError):
-    """A token file whose header or token lines do not parse."""
-
-
-class LayoutMismatch(StroketokError):
-    """Token ids of one (d, B, stages) layout read against another."""
 
 
 @dataclass
@@ -157,17 +146,6 @@ class Codebook:
     def reset_usage(self) -> None:
         for u in self.usage:
             u[:] = 0
-
-
-@dataclass
-class StrokeTokenSeq:
-    """Token ids under the (d, B, stages) layout that gives them meaning.
-    `meta` holds what decoding may use besides (viewbox, orig_len,
-    keywords) and what generating reports."""
-
-    tokens: list[int]
-    layout: tuple[int, int, int]
-    meta: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -404,18 +382,12 @@ def _decode_tensor(
 
 
 def decode(
-    zq: Tensor,
-    cfg: CodecConfig,
-    store: ParameterStore,
-    pad: int = 0,
-    original_len: int | None = None,
+    zq: Tensor, cfg: CodecConfig, store: ParameterStore, pad: int = 0
 ) -> StrokeMatrix:
     """Latent (T, code_dim) of one sample -> scaled stroke matrix, clamped
-    to [-1, 1], with pad rows dropped."""
+    to [-1, 1], with its last `pad` rows dropped."""
     rows = np.clip(_decode_tensor(zq, cfg, store).data, -1.0, 1.0)
-    if original_len is not None:
-        rows = rows[: max(1, min(original_len, rows.shape[0]))]
-    elif pad:
+    if pad:
         rows = rows[: rows.shape[0] - pad]
     return StrokeMatrix(rows.copy(), scaled=True)
 
@@ -800,9 +772,11 @@ def detokenize(
     """Token ids -> (repaired Graphic, its FixReport) under `fixer`, one of
     FIXERS; the report is None when no fixer runs."""
     zq = Tensor(lookup_tokens(seq.tokens, codebook))
-    orig_len = seq.meta.get("orig_len")
+    # keep orig_len of the decoded rows, clamped to [1, rows]
+    rows = zq.data.shape[0] * cfg.rate
+    pad = rows - max(1, min(seq.meta.get("orig_len", rows), rows))
     with no_grad():
-        ms = decode(zq, cfg, store, original_len=orig_len)
+        ms = decode(zq, cfg, store, pad=pad)
     vb = seq.meta.get("viewbox") or list(DEFAULT_VIEWBOX)
     viewbox = (vb[0], vb[1], vb[2], vb[3])
     m = scale(ms, FROM_UNIT, viewbox)
@@ -815,101 +789,25 @@ def detokenize(
     return g, report
 
 
-# ---------------------------------------------------------------------------
-# Files
-# ---------------------------------------------------------------------------
-
-
-def layout_text(layout: tuple[int, int, int]) -> str:
-    """A token layout (d, B, stages) as the token file header writes it."""
-    return "d={} B={} stages={}".format(*layout)
-
-
-def check_layout(
-    name: str, layout: tuple[int, int, int], other_name: str, other: tuple[int, int, int]
-) -> None:
-    """Raise LayoutMismatch, naming both sources and both layouts, unless
-    the token layouts of `name` and `other_name` are equal."""
-    if layout != other:
-        raise LayoutMismatch(
-            f"token layouts differ: {name} has {layout_text(layout)}, "
-            f"{other_name} has {layout_text(other)}"
-        )
-
-
-def save_tokens(seq: StrokeTokenSeq, path: str) -> None:
-    """One decimal id per line under the pinned header. The header carries
-    only the sequence's layout; viewbox/length metadata travels separately."""
-    with open(path, "w") as f:
-        f.write(f"# stroketok v1 {layout_text(seq.layout)}\n")
-        for tok in seq.tokens:
-            f.write(f"{tok}\n")
-
-
-def load_tokens(path: str) -> StrokeTokenSeq:
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines or not lines[0].startswith("# stroketok v1"):
-        raise MalformedTokens(f"{path}: missing token header")
-    fields = dict(
-        part.split("=", 1) for part in lines[0].split()[3:] if "=" in part
-    )
-    layout = []
-    # each field's lower bound is the one CodecConfig enforces
-    for key, low in (("d", 1), ("B", 2), ("stages", 1)):
-        value = fields.get(key, "")
-        if not (value.isascii() and value.isdigit()) or int(value) < low:
-            raise MalformedTokens(
-                f"{path}: token header field {key} must be an integer >= {low} "
-                f"(header {lines[0]!r})"
-            )
-        layout.append(int(value))
-    # stroke ids only: PAD, BOS and EOS (d*B and up) belong to the LM, and
-    # a negative id would index the LM's embedding table from its end
-    vocab = layout[0] * layout[1]
-    tokens = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            tok = int(line)
-        except ValueError as e:
-            raise MalformedTokens(
-                f"{path}: line {lineno}: token lines must be integers ({e})"
-            ) from e
-        if not 0 <= tok < vocab:
-            raise MalformedTokens(
-                f"{path}: line {lineno}: token id {tok} is outside the stroke "
-                f"vocabulary [0, {vocab})"
-            )
-        tokens.append(tok)
-    return StrokeTokenSeq(tokens, tuple(layout))
-
-
 def save_vq_checkpoint(
     path: str, store: ParameterStore, codebook: Codebook, cfg: CodecConfig
 ) -> None:
-    named = {**store.state_dict(), "config": te.config_record(cfg)}
-    named["codebook.usage"] = np.array(codebook.usage)
-    te.save_named_tensors(path, named)
+    usage = {"codebook.usage": np.array(codebook.usage)}
+    save_checkpoint(path, store, {"config": cfg}, usage)
 
 
 def load_vq_checkpoint(path: str) -> tuple[ParameterStore, Codebook, CodecConfig]:
     """Inverse of `save_vq_checkpoint`. The usage entry must hold i8 counts,
     non-negative, codebook_size of them for each level."""
-    named = te.load_named_tensors(path)
-    cfg = te.read_record(CodecConfig, named, "config", path)
-    usage = named.pop("codebook.usage", None)
-    if usage is None:
-        raise te.CorruptCheckpoint(f"{path}: checkpoint has no 'codebook.usage' entry")
+    store, (cfg,), (usage,) = read_checkpoint(
+        path, {"config": CodecConfig}, codec_layout, ("codebook.usage",)
+    )
     shape = (cfg.rvq_depth, cfg.codebook_size)
     if usage.dtype != np.int64 or usage.shape != shape or np.any(usage < 0):
-        raise te.CorruptCheckpoint(
+        raise CorruptCheckpoint(
             f"{path}: checkpoint entry 'codebook.usage' must hold {shape} non-negative "
             f"i8 counts (found {usage.dtype}, shape {usage.shape})"
         )
-    params = {k: v for k, v in named.items() if k != "config"}
-    store = te.load_params(codec_layout(cfg), params, path)
     codebook = make_codebook(cfg, store)
     codebook.usage = list(usage.copy())
     return store, codebook, cfg

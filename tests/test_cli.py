@@ -15,12 +15,12 @@ from hypothesis import strategies as st
 
 from stroketok import cli
 from stroketok import tensor_engine as te
-from stroketok.stroke_lm import generate, load_lm_checkpoint
-from stroketok.tensor_engine import (
+from stroketok.artifacts import (
     CorruptCheckpoint,
     load_named_tensors,
     save_named_tensors,
 )
+from stroketok.stroke_lm import generate, load_lm_checkpoint
 from stroketok.vq_codec import load_vq_checkpoint
 
 TINY_CONFIG = """\

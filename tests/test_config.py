@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from stroketok import cli, config
+from stroketok.artifacts import load_named_tensors
 from stroketok.config import UnknownConfigKey, load_pipeline_config, parse_config_text
 from stroketok.stroke_lm import (
     LmConfig,
@@ -16,7 +17,6 @@ from stroketok.stroke_lm import (
     load_lm_checkpoint,
     save_lm_checkpoint,
 )
-from stroketok.tensor_engine import load_named_tensors
 from stroketok.vq_codec import (
     CodecConfig,
     init_codec_params,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stroketok.artifacts import LayoutMismatch, StrokeTokenSeq
 from stroketok.metrics import (
     RenderFailure,
     ZeroLength,
@@ -19,7 +20,6 @@ from stroketok.metrics import (
 )
 from stroketok.model import Graphic, Path, cubic_cmd, line_cmd, move_cmd
 from stroketok.svg_io import gen_synthetic
-from stroketok.vq_codec import LayoutMismatch, StrokeTokenSeq
 
 
 def brute_force_edit(a, b):

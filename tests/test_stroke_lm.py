@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from stroketok.artifacts import StrokeTokenSeq
 from stroketok.stroke_lm import (
     Diverged,
     EmptyKeywords,
@@ -35,7 +36,6 @@ from stroketok.tensor_engine import (
     no_grad,
     relu,
 )
-from stroketok.vq_codec import StrokeTokenSeq
 
 from oracle_ops import concat, matmul, narrow, softmax, transpose2d
 

@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stroketok import artifacts
 from stroketok import tensor_engine as te
+from stroketok.artifacts import CorruptCheckpoint, load_named_tensors, save_named_tensors
 from stroketok.tensor_engine import (
-    CorruptCheckpoint,
     NoGradient,
     ParameterStore,
     ShapeMismatch,
@@ -22,7 +23,6 @@ from stroketok.tensor_engine import (
     embedding,
     layer_norm,
     linear,
-    load_named_tensors,
     minibatches,
     mse_loss,
     mul,
@@ -30,7 +30,6 @@ from stroketok.tensor_engine import (
     optimizer_step,
     place_rows,
     relu,
-    save_named_tensors,
     stop_gradient,
     take_rows,
 )
@@ -704,7 +703,7 @@ def test_a_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch
         opened.append(Path(path))
         return HalfWriter(path, mode)
 
-    monkeypatch.setattr(te, "open", half_writer, raising=False)
+    monkeypatch.setattr(artifacts, "open", half_writer, raising=False)
     with pytest.raises(OSError, match="No space left"):
         save_named_tensors(str(p), {"w": np.zeros((2, 2))})
     monkeypatch.undo()

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stroketok import tensor_engine as te
+from stroketok.artifacts import MalformedTokens, StrokeTokenSeq, load_tokens, save_tokens
 from stroketok.matrix_codec import TO_UNIT, StrokeMatrix, scale, to_matrix
 from stroketok.svg_io import gen_synthetic
 from stroketok.tensor_engine import (
@@ -20,21 +21,17 @@ from stroketok.vq_codec import (
     Codebook,
     Diverged,
     EmptyCodebook,
-    MalformedTokens,
     Packing,
-    StrokeTokenSeq,
     codec_loss,
     decode,
     detokenize,
     encode,
     init_codec_params,
-    load_tokens,
     load_vq_checkpoint,
     lookup_tokens,
     make_codebook,
     pad_rows,
     quantize_residual,
-    save_tokens,
     save_vq_checkpoint,
     straight_through,
     tokenize,
@@ -217,7 +214,7 @@ def test_decode_shape_and_clamp():
     assert m.scaled
     assert np.all(np.isfinite(m.rows))
     assert np.abs(m.rows).max() <= 1.0
-    trimmed = decode(zq, cfg, store, original_len=5)
+    trimmed = decode(zq, cfg, store, pad=3)
     assert trimmed.rows.shape == (5, 9)
 
 
@@ -420,11 +417,17 @@ def test_token_file_round_trip(tmp_path):
         "# stroketok v1 d=2 B=1 stages=1\n0\n",
         "# stroketok v1 d=x B=8 stages=1\n0\n",
         "# stroketok v1 d=2 B=8 stages=1\n0\nseven\n",
+        b"\xff\xfe# stroketok v1 d=2 B=8 stages=1\n0\n",
+        "# stroketok v1 d=2 B=8 stages=1\n1_0\n",
+        "# stroketok v1 d=2 B=8 stages=1\n+1\n",
+        "# stroketok v1 d=2 B=8 stages=1\n 2 \n",
+        "# stroketok v1 d=2 B=8 stages=1\n\u0661\n",
+        "# stroketok v1 d=2 B=8 stages=1 d=3\n0\n",
     ],
 )
 def test_malformed_token_file_raises(tmp_path, text):
     p = tmp_path / "g.tok"
-    p.write_text(text)
+    p.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(MalformedTokens, match="g.tok"):
         load_tokens(str(p))
 
