@@ -165,7 +165,7 @@ def read_record(cls, named: dict[str, np.ndarray], key: str, path: str):
         raise CorruptCheckpoint(f"{where} is {arr.ndim}-d {arr.dtype}, not u8 bytes")
     try:
         values = json.loads(arr.tobytes())
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:
         raise CorruptCheckpoint(f"{where} is not JSON ({e})") from None
     if type(values) is not dict:
         raise CorruptCheckpoint(f"{where} is not a JSON object")

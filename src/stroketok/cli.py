@@ -7,8 +7,10 @@ its checkpoints afresh.
 Exit codes: 0 success, 1 domain error (message on stderr), 2 usage error.
 Training settings, the seed included, come from the --config file alone;
 decoding choices are flags of the commands that decode (--fixer, and
-generate's --temperature, --top-k and sampling --seed). Given identical
-inputs, config and flags, every subcommand writes byte-identical artifacts.
+generate's --temperature, --top-k and sampling --seed). evaluate scores
+IoU at `pixel_iou`'s fixed 128 px and 2 px stroke, so every report v1 is
+scored alike. Given identical inputs, config and flags, every subcommand
+writes byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -101,10 +103,7 @@ def _preprocess_one(path: Path, ns):
         g = _load_graphic_file(path)
     except (MalformedSvg, EmptyGraphic, ValueError) as e:
         return str(e)
-    g = simplify(g)
-    if ns.min_keywords and len(g.keywords) < ns.min_keywords:
-        return "TooFewKeywords"
-    out = preprocess(g, max_commands=ns.max_commands, min_commands=ns.min_commands)
+    out = preprocess(simplify(g), max_commands=ns.max_commands)
     return out.reason if isinstance(out, Rejected) else out
 
 
@@ -262,7 +261,7 @@ def cmd_generate(ns) -> int:
     return 0
 
 
-def _evaluate_one(golden_path: Path, cand_path: Path, vq, ns):
+def _evaluate_one(golden_path: Path, cand_path: Path, vq):
     store, codebook, cfg = vq
     golden = simplify(load_graphic(golden_path.read_text()))
     candidate = simplify(_load_graphic_file(cand_path))
@@ -274,7 +273,7 @@ def _evaluate_one(golden_path: Path, cand_path: Path, vq, ns):
         "cr": cr,
         "cr_inverse": 1.0 / cr,
         "recall": recall_score(gold_seq, cand_seq),
-        "pixel_iou": pixel_iou(golden, candidate, res=ns.res, stroke_px=ns.stroke_px),
+        "pixel_iou": pixel_iou(golden, candidate),
     }
 
 
@@ -296,7 +295,7 @@ def cmd_evaluate(ns) -> int:
         raise StroketokError("no golden/candidate pairs found")
     vq = load_vq_checkpoint(ns.ckpt)
 
-    rows = [{"name": g.stem, **_evaluate_one(g, cand, vq, ns)} for g, cand in pairs]
+    rows = [{"name": g.stem, **_evaluate_one(g, cand, vq)} for g, cand in pairs]
     metrics_keys = ("edit", "cr", "cr_inverse", "recall", "pixel_iou")
     aggregates = {
         "mean": {k: statistics.fmean(r[k] for r in rows) for k in metrics_keys},
@@ -353,8 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--max-commands", type=int, default=1024)
-    p.add_argument("--min-commands", type=int, default=2)
-    p.add_argument("--min-keywords", type=int, default=0)
     p.set_defaults(fn=cmd_preprocess)
 
     p = sub.add_parser("train-vq", help="train the stroke-token codec")
@@ -403,8 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidate", required=True)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--report", required=True)
-    p.add_argument("--res", type=int, default=128)
-    p.add_argument("--stroke-px", dest="stroke_px", type=int, default=2)
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("render", help="rasterize a graphic to PNG/PBM")

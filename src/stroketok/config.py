@@ -3,8 +3,9 @@
 Files hold one `key = value` per line ('#' comments allowed). The keys are
 the fields of `CodecConfig` under their own names and the fields of
 `LmConfig` under an `lm_` prefix, except `seed`, which sets both configs.
-A value parses by its field's annotation; a `tuple[int, ...]` field takes
-comma-separated ints (`channels = 16,32`). Unknown keys are rejected so
+A value parses by its field's annotation: an int is `-?[0-9]+`, a float an
+ASCII decimal, exponent, `nan`, `inf` or `-inf`, and a `tuple[int, ...]`
+takes comma-separated ints (`channels = 16,32`). Unknown keys are rejected so
 typos fail loudly. The file is the only source of these settings: a key it
 leaves out takes the dataclass default. Both configs are built, so either
 training subcommand validates the whole file. Decoding choices (the fixer,
@@ -44,14 +45,21 @@ _LM_KEYS = {
 }
 
 
-def _coerce(key: str, raw: str):
-    kind = _TARGETS[key][0][1].type
-    raw = raw.strip()
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    return tuple(int(c) for c in raw.split(",") if c)
+# ASCII forms only: int() and float() alone also take "+", "_", inner
+# spaces and other scripts' digits
+_FORMS = {
+    "int": (re.compile(r"-?[0-9]+"), int),
+    "float": (re.compile(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?|nan|-?inf"), float),
+}
+
+
+def _coerce(kind: str, raw: str):
+    if kind == "tuple[int, ...]":
+        return tuple(_coerce("int", c) for c in raw.split(","))
+    form, parse = _FORMS[kind]
+    if not form.fullmatch(raw.strip()):
+        raise ValueError(f"{raw.strip()!r} is not a plain {kind}")
+    return parse(raw)
 
 
 def parse_config_text(text: str) -> dict:
@@ -66,7 +74,7 @@ def parse_config_text(text: str) -> dict:
         if key not in _TARGETS:
             raise UnknownConfigKey(f"line {lineno}: unknown key {key!r}")
         try:
-            out[key] = _coerce(key, raw)
+            out[key] = _coerce(_TARGETS[key][0][1].type, raw)
         except ValueError as e:
             raise ValueError(f"line {lineno}: bad value for {key!r}: {e}") from None
     return out

@@ -92,8 +92,6 @@ def _draw_segment(grid: np.ndarray, x0: int, y0: int, x1: int, y1: int) -> None:
 
 
 def _dilate(grid: np.ndarray, stroke_px: int) -> np.ndarray:
-    if stroke_px <= 1:
-        return grid
     lo = -((stroke_px - 1) // 2)
     hi = stroke_px // 2
     out = np.zeros_like(grid)
@@ -114,9 +112,11 @@ def _dilate(grid: np.ndarray, stroke_px: int) -> np.ndarray:
 
 
 def rasterize(g: Graphic, res: int, stroke_px: int = 1) -> np.ndarray:
-    """Boolean res x res bitmap of the graphic's stroked outline."""
+    """Boolean res x res bitmap of the graphic's outline, stroke_px wide."""
     if res < 8:
         raise ValueError("res must be >= 8")
+    if stroke_px < 1:
+        raise ValueError("stroke_px must be >= 1")
     min_x, min_y, w, h = g.viewbox
     extent = max(w, h)
     sf = (res - 1) / extent

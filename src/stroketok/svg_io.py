@@ -160,11 +160,13 @@ def parse_svg(text: str) -> Graphic:
         raise MalformedSvg(f"root element is <{_local(root.tag)}>, expected <svg>")
 
     subpaths: list[list[BasicCommand]] = []
-
-    def walk(el: ET.Element) -> None:
+    # depth first in document order, on a stack: nesting depth is unbounded
+    stack = [root]
+    while stack:
+        el = stack.pop()
         tag = _local(el.tag)
         if tag in _IGNORED:
-            return
+            continue
         if el.get("transform"):
             log.warning("ignoring transform on <%s>", tag)
         if tag == "path":
@@ -174,12 +176,9 @@ def parse_svg(text: str) -> Graphic:
         elif tag in _SUPPORTED_SHAPES:
             subpaths.extend(_shape_subpaths(tag, el))
         elif tag in _CONTAINERS:
-            for child in el:
-                walk(child)
+            stack.extend(reversed(el))
         else:
             log.warning("skipping unsupported element <%s>", tag)
-
-    walk(root)
 
     if not subpaths:
         raise EmptyGraphic("document has no drawable content")
@@ -246,6 +245,8 @@ class Rejected:
 
 TOO_LONG = "TooLong"
 TOO_SHORT = "TooShort"
+# the fewest commands preprocess keeps: a lone MoveTo draws nothing
+MIN_COMMANDS = 2
 
 
 def _rounded_path_key(path: Path, grid: float) -> tuple:
@@ -294,15 +295,13 @@ def _is_outer_box(path: Path, viewbox, grid: float) -> bool:
     return w >= _BOX_COVER * viewbox[2] and h >= _BOX_COVER * viewbox[3]
 
 
-def preprocess(
-    g: Graphic, max_commands: int = 1024, min_commands: int = 2
-) -> Graphic | Rejected:
+def preprocess(g: Graphic, max_commands: int = 1024) -> Graphic | Rejected:
     """Corpus rules: drop duplicate paths and the outer box, bound length.
 
     Duplicate detection compares command sequences after rounding
     coordinates to a grid of 1e-4 of the larger viewbox extent. Returns a
     Rejected value (not an error) when the remaining command count falls
-    outside [min_commands, max_commands].
+    outside [MIN_COMMANDS, max_commands].
     """
     grid = 1e-4 * g.max_extent()
     seen: set[tuple] = set()
@@ -319,7 +318,7 @@ def preprocess(
     total = sum(len(p) for p in kept)
     if total > max_commands:
         return Rejected(TOO_LONG)
-    if total < min_commands or not kept:
+    if total < MIN_COMMANDS:
         return Rejected(TOO_SHORT)
     out = Graphic(paths=tuple(kept), viewbox=g.viewbox, keywords=g.keywords)
     if len(kept) != len(g.paths):
@@ -472,7 +471,10 @@ def dump_graphic(g: Graphic) -> str:
 
 
 def load_graphic(text: str) -> Graphic:
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError as e:
+        raise ValueError(f"graphic JSON nests too deeply ({e})") from None
     if not isinstance(obj, dict) or "viewbox" not in obj or "paths" not in obj:
         raise ValueError("graphic JSON must be an object holding viewbox and paths")
     vb = obj["viewbox"]
@@ -480,7 +482,7 @@ def load_graphic(text: str) -> Graphic:
         raise ValueError("viewbox must have 4 numbers")
     try:
         vb = [float(v) for v in vb]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"viewbox must be numbers, got {vb!r}") from None
     if not all(map(math.isfinite, vb)):
         raise ValueError(f"viewbox must be finite numbers, got {vb!r}")
@@ -501,7 +503,7 @@ def load_graphic(text: str) -> Graphic:
                 raise ValueError(f"unknown command type {t!r}")
             try:
                 nums = [float(v) for v in row[1:]]
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ValueError(
                     f"coordinates of paths[{i}][{j}] must be numbers, got {row[1:]!r}"
                 ) from None

@@ -61,6 +61,9 @@ DEFAULT_VIEWBOX = (0.0, 0.0, 256.0, 256.0)
 # decoding's fixers: path clipping, path interpolation, none (the default first)
 FIXERS = ("pc", "pi", "none")
 
+# kernel 4, stride 2, padding 1: halves the command axis exactly, and transposed doubles it
+_KERNEL = 4
+
 
 class EmptyCodebook(StroketokError):
     pass
@@ -86,7 +89,6 @@ class CodecConfig:
     seed: int = 0
     batch_size: int = 8
     steps: int = 2000
-    kernel_size: int = 4
 
     def __post_init__(self):
         if self.compression_stages < 1:
@@ -101,12 +103,9 @@ class CodecConfig:
             raise ValueError("lr must be finite and > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.kernel_size < 2 or self.kernel_size % 2:
-            raise ValueError("kernel_size must be even (exact stride-2 doubling)")
-        # one width per compression stage: the last width repeats, and an
-        # empty tuple means 64
-        ch = tuple(self.channels) or (64,)
-        if min(ch) < 1:
+        # one width per compression stage: the last width repeats
+        ch = tuple(self.channels)
+        if not ch or min(ch) < 1:
             raise ValueError("channels must be >= 1")
         stages = self.compression_stages
         self.channels = (ch + ch[-1:] * stages)[:stages]
@@ -157,7 +156,6 @@ def codec_layout(cfg: CodecConfig) -> list[te.Param]:
     """The codec's parameters in the order `init_codec_params` draws them:
     He-normal conv kernels, zero biases and zero codebooks (k-means fills
     the codebooks before training)."""
-    k = cfg.kernel_size
     ch = cfg.channels
     layout = []
 
@@ -173,7 +171,7 @@ def codec_layout(cfg: CodecConfig) -> list[te.Param]:
     in_ch = 9
     for i, c in enumerate(ch):
         out_ch = cfg.code_dim if i == len(ch) - 1 else c
-        conv_w(f"enc{i}.down.w", c, in_ch, k)
+        conv_w(f"enc{i}.down.w", c, in_ch, _KERNEL)
         zeros(f"enc{i}.down.b", (c,))
         conv_w(f"enc{i}.res.w1", c, c, 3)
         zeros(f"enc{i}.res.b1", (c,))
@@ -189,7 +187,7 @@ def codec_layout(cfg: CodecConfig) -> list[te.Param]:
         last = j == len(rev) - 1
         out_ch = 9 if last else c
         # transpose kernels are (C_in, C_out, K)
-        normal(f"dec{j}.up.w", (in_ch, c, k), np.sqrt(2.0 / (in_ch * k)))
+        normal(f"dec{j}.up.w", (in_ch, c, _KERNEL), np.sqrt(2.0 / (in_ch * _KERNEL)))
         zeros(f"dec{j}.up.b", (c,))
         conv_w(f"dec{j}.res.w1", c, c, 3)
         zeros(f"dec{j}.res.b1", (c,))
@@ -238,31 +236,27 @@ class Packing:
     convolution runs them all.
 
     Sample i takes lengths[i] rows at the input (its padded length, a
-    multiple of 2**stages) and latent[i] at the latent, and `gap` zero rows
-    separate each pair. At level
-    l (after l stride-2 stages; level `stages` is the latent) every count is
-    divided by 2**l, and each sample still starts on a stride boundary. The
-    two ends need no gap rows: the convolutions' own zero padding is there.
+    multiple of 2**stages) and latent[i] at the latent, and a gap of
+    2**stages zero rows separates each pair. At level l (after l stride-2 stages; level
+    `stages` is the latent) every count is divided by 2**l, so each sample
+    still starts on a stride boundary and the gap keeps at least one row:
+    the reach of the kernel-4, padding-1 stride-2 convolutions and of the
+    residual block's 3-tap one. The two ends need no gap rows: the
+    convolutions' own zero padding is there.
 
-    The gap is a multiple of 2**stages wide enough that no convolution reads
-    across it: the latent keeps max(1, ceil(p / 2)) gap rows for kernel
-    padding p = (K - 2) / 2, which leaves at least p at every finer level
-    (the stride-2 convolutions' reach) and at least 1 at the latent (the
-    residual block's 3-tap reach). The network zeroes the gap rows with
-    `mask` after every layer whose output a k > 1 convolution reads next,
-    so each sample sees exactly the zero padding it would see alone. A
-    packing of one sample has no gap rows, so it runs the plain
-    single-sample network: `mask`, `take` and `place` return x as it is.
+    The network zeroes the gap rows with `mask` after every layer whose
+    output a k > 1 convolution reads next, so each sample sees exactly the
+    zero padding it would see alone. A packing of one sample has no gap
+    rows, so it runs the plain single-sample network: `mask`, `take` and
+    `place` return x as it is.
     """
 
     def __init__(self, lengths: list[int], cfg: CodecConfig):
-        reach = (cfg.kernel_size - 2) // 2
-        self.gap = cfg.rate * max(1, (reach + 1) // 2)
         self.lengths = np.asarray(lengths, dtype=np.int64)
         self.latent = self.lengths >> cfg.compression_stages
-        spans = self.lengths + self.gap
+        spans = self.lengths + cfg.rate  # each sample and the gap after it
         self.starts = np.cumsum(spans) - spans
-        self.size = int(spans.sum()) - self.gap
+        self.size = int(spans.sum()) - cfg.rate
         self._real: dict[int, np.ndarray] = {}
         self._mask: dict[int, Tensor] = {}
         self.rows: np.ndarray | None = None
@@ -342,7 +336,7 @@ def encode(
             store[f"enc{i}.down.w"],
             bias=store[f"enc{i}.down.b"],
             stride=2,
-            padding=(cfg.kernel_size - 2) // 2,
+            padding=_KERNEL // 2 - 1,
         )
         x = packing.mask(x, i + 1)
         x = _res_block(x, store, f"enc{i}.res")
@@ -371,7 +365,7 @@ def _decode_tensor(
             store[f"dec{j}.up.w"],
             bias=store[f"dec{j}.up.b"],
             stride=2,
-            padding=(cfg.kernel_size - 2) // 2,
+            padding=_KERNEL // 2 - 1,
         )
         x = packing.mask(x, level)
         x = _res_block(x, store, f"dec{j}.res")

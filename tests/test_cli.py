@@ -609,6 +609,34 @@ def test_checkpoint_missing_or_bad_entry_exits_1_with_one_line(pipeline, capsys)
     assert not (d / "bad.json").exists()
 
 
+def test_json_nested_past_the_recursion_limit_exits_1_with_one_line(pipeline, capsys,
+                                                                    tmp_path):
+    """200 000 nested arrays, as a graphic or as a checkpoint's config
+    record: one line naming the graphic's fault, or the file and record."""
+    d = pipeline
+    deep = "[" * 200_000 + "]" * 200_000
+    src, out = tmp_path / "deep.json", tmp_path / "out"
+    src.write_text(deep)
+    for argv in (["tokenize", "--ckpt", d / "vq.ckpt", "--in", src, "--out", out],
+                 ["render", "--in", src, "--out", out]):
+        capsys.readouterr()
+        assert cli.main([str(a) for a in argv]) == 1, argv
+        assert "graphic JSON nests too deeply" in assert_one_error_line(capsys)
+    record = {"config": np.frombuffer(deep.encode(), dtype=np.uint8)}
+    bad_vq = rewrite_checkpoint(d / "vq.ckpt", tmp_path / "vq.ckpt", replace=record)
+    bad_lm = rewrite_checkpoint(d / "lm.ckpt", tmp_path / "lm.ckpt", replace=record)
+    tok = sorted((d / "tok").glob("*.tok"))[0]
+    for bad, argv in (
+        (bad_vq, ["detokenize", "--ckpt", bad_vq, "--in", tok, "--out", out]),
+        (bad_lm, ["generate", "--lm", bad_lm, "--vq", d / "vq.ckpt", "--keywords", "circle",
+                  "--out", out]),
+    ):
+        capsys.readouterr()
+        assert cli.main([str(a) for a in argv]) == 1, argv
+        assert_error_names(capsys, bad, "checkpoint record 'config' is not JSON")
+    assert not out.exists()
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_any_flipped_bit_raises_corrupt_checkpoint(pipeline, data):

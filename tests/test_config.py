@@ -27,7 +27,7 @@ from stroketok.vq_codec import (
 
 KEYS = (
     "alpha batch_size channels code_dim codebook_size compression_stages "
-    "kernel_size lm_batch_size lm_embed_dim lm_heads lm_layers lm_lr lm_max_len "
+    "lm_batch_size lm_embed_dim lm_heads lm_layers lm_lr lm_max_len "
     "lm_steps lr rvq_depth seed steps"
 ).split()
 
@@ -42,8 +42,7 @@ alpha = 0.5
 lr = 0.02
 seed = 9
 batch_size = 3
-steps = 7
-kernel_size = 6  # a comment
+steps = 7  # a comment
 lm_embed_dim = 12
 lm_layers = 3
 lm_heads = 3
@@ -55,7 +54,7 @@ lm_batch_size = 2
 
 CODEC = CodecConfig(
     compression_stages=2, rvq_depth=3, codebook_size=5, code_dim=3, channels=(4, 6),
-    alpha=0.5, lr=0.02, seed=9, batch_size=3, steps=7, kernel_size=6,
+    alpha=0.5, lr=0.02, seed=9, batch_size=3, steps=7,
 )
 LM = LmConfig(
     embed_dim=12, layers=3, heads=3, max_len=20, lr=0.05, seed=9, steps=11, batch_size=2,
@@ -80,7 +79,7 @@ def test_every_key_parses_to_its_field(tmp_path):
 @pytest.mark.parametrize(
     "key",
     ["max_commands", "min_commands", "min_keywords", "eval_res", "eval_stroke_px",
-     "target_recon", "fixer"],
+     "target_recon", "fixer", "kernel_size"],
 )
 def test_keys_no_subcommand_reads_are_rejected(key):
     with pytest.raises(UnknownConfigKey, match=f"line 3: unknown key '{key}'"):
@@ -94,6 +93,29 @@ def test_keys_no_subcommand_reads_are_rejected(key):
 def test_lm_fields_outside_the_key_rule_are_rejected(key):
     with pytest.raises(UnknownConfigKey, match=f"line 1: unknown key '{key}'"):
         parse_config_text(f"{key} = 4\n")
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["channels = 1_6,+32", "channels = 16,,32,", "channels =", "steps = \u0661\u0660",
+     "steps = 1e3", "steps = 0x10", "steps = 1 0", "lr = 1_0e-3", "lr = +0.1", "lr = NaN",
+     "lr = infinity", "lr = 1e", "lr = \u0661"],
+)
+def test_values_are_plain_ascii_numbers(line):
+    """An int is -?[0-9]+, a float an ASCII decimal or exponent form, and
+    channel entries are ints, none empty. int() and float() alone would
+    take the underscores, signs and other scripts' digits above."""
+    key = line.split()[0]
+    with pytest.raises(ValueError, match=f"^line 2: bad value for '{key}': .* is not a plain"):
+        parse_config_text(f"steps = 4\n{line}\n")
+
+
+def test_plain_values_parse():
+    assert parse_config_text("channels = 16, -3\nalpha = .5\nlr = -2.5E-3\nsteps = -2") == {
+        "channels": (16, -3), "alpha": 0.5, "lr": -0.0025, "steps": -2}
+    # nan and inf reach the configs' own range checks
+    for text in ("nan", "inf", "-inf"):
+        assert str(parse_config_text(f"lr = {text}")["lr"]) == text
 
 
 def test_seed_sets_both_configs(tmp_path):
@@ -115,15 +137,15 @@ def test_a_bad_value_exits_1_with_one_line(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     assert cli.main(["gen-synth", "--n", "2", "--out", str(corpus)]) == 0
     p = tmp_path / "bad.cfg"
-    p.write_text("kernel_size = 3\n")
+    p.write_text("codebook_size = 1\n")
     capsys.readouterr()
     assert cli.main(["train-vq", "--corpus", str(corpus), "--config", str(p),
                      "--out", str(tmp_path / "vq.ckpt")]) == 1
-    assert "kernel_size must be even" in one_error_line(capsys)
+    assert "codebook_size must be >= 2" in one_error_line(capsys)
     # train-lm builds the codec config too, so it rejects the same file
     assert cli.main(["train-lm", "--tokens", str(tmp_path), "--config", str(p),
                      "--out", str(tmp_path / "lm.ckpt")]) == 1
-    assert "kernel_size must be even" in one_error_line(capsys)
+    assert "codebook_size must be >= 2" in one_error_line(capsys)
     assert not (tmp_path / "vq.ckpt").exists() and not (tmp_path / "lm.ckpt").exists()
 
 

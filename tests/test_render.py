@@ -84,6 +84,10 @@ def test_res_floor():
     g = gen_synthetic(1, 1)[0]
     with pytest.raises(ValueError):
         rasterize(g, 4)
+    # and a stroke narrower than one pixel
+    for stroke_px in (0, -3):
+        with pytest.raises(ValueError, match="stroke_px must be >= 1"):
+            rasterize(g, 32, stroke_px=stroke_px)
 
 
 def test_file_outputs(tmp_path):

@@ -144,6 +144,23 @@ def test_unsupported_skipped(caplog):
     assert any("text" in r.message for r in caplog.records)
 
 
+def deep_svg(depth: int) -> str:
+    """Three drawables in document order, the middle one under `depth`
+    nested groups (and the first under one, with a skipped <defs>)."""
+    return ('<svg viewBox="0 0 10 10"><g><defs><path d="M9 9 L8 8"/></defs>'
+            '<circle cx="5" cy="5" r="2"/></g>'
+            + "<g>" * depth + '<path d="M0 0 L5 5 C6 6 7 6 8 5"/>' + "</g>" * depth
+            + '<line x1="1" y1="1" x2="3" y2="3"/></svg>')
+
+
+def test_nesting_depth_changes_nothing():
+    """Groups nest to any depth (the walk keeps its own stack): 5000 of
+    them parse to the graphic that one group gives, in document order."""
+    deep, flat = parse_svg(deep_svg(5000)), parse_svg(deep_svg(1))
+    assert deep == flat
+    assert [len(p) for p in deep.paths] == [5, 3, 2]
+
+
 def test_empty_graphic():
     with pytest.raises(EmptyGraphic):
         parse_svg('<svg viewBox="0 0 4 4"><defs/></svg>')

@@ -36,6 +36,7 @@ from stroketok.vq_codec import (
     straight_through,
     tokenize,
     train,
+    _KERNEL,
     _decode_tensor,
     _kmeans,
     _nearest,
@@ -750,7 +751,7 @@ def per_sample_step(matrices, cfg, store, codebook):
     )
     from oracle_ops import sub, transpose2d
 
-    p = (cfg.kernel_size - 2) // 2
+    p = _KERNEL // 2 - 1
 
     def res(x, prefix):
         h = relu(x)
@@ -829,12 +830,11 @@ def random_matrices(rng, count, stages):
 
 
 @pytest.mark.parametrize("stages", [1, 2, 3])
-@pytest.mark.parametrize("kernel_size", [2, 4, 6, 8])
-def test_packed_step_matches_per_sample_step(stages, kernel_size):
+def test_packed_step_matches_per_sample_step(stages):
     """Loss, every trainable gradient, usage counts and latents of the
     packed step equal the per-sample channel-major step's within 1e-12,
     over batches of 1 and 5, rvq depths 1-3 and alpha 0 and 1."""
-    rng = np.random.default_rng(100 * stages + kernel_size)
+    rng = np.random.default_rng(100 * stages + 4)
     for case, batch in enumerate((1, 5, 5)):
         cfg = CodecConfig(
             compression_stages=stages,
@@ -842,8 +842,7 @@ def test_packed_step_matches_per_sample_step(stages, kernel_size):
             codebook_size=6,
             code_dim=3,
             channels=(5, 4, 6)[:stages],
-            kernel_size=kernel_size,
-            alpha=float((stages + kernel_size // 2 + case) % 2),
+            alpha=float((stages + case) % 2),
         )
         store, codebook = random_codec(cfg, 7 * stages + case)
         matrices = random_matrices(rng, batch, stages)
